@@ -248,10 +248,10 @@ let device_storm_leg ~machine ~scheme ~balance ~obs (case : Campaign.case) =
     let cfg =
       C.Config.make ~machine:m ~block:case.Campaign.block ~scheme ?balance ()
     in
-    match
-      C.Schedule.run ~plan:case.Campaign.plan ~policy
-        ~fault_seed:case.Campaign.seed ~obs cfg ~n
-    with
+    (match
+       C.Schedule.run ~plan:case.Campaign.plan ~policy
+         ~fault_seed:case.Campaign.seed ~obs cfg ~n
+     with
     | r ->
         ( Campaign.device_counts_of_stats r.C.Schedule.resilience,
           None,
@@ -267,7 +267,11 @@ let device_storm_leg ~machine ~scheme ~balance ~obs (case : Campaign.case) =
                (Hetsim.Engine.failure_name failure)
                (Hetsim.Engine.resource_name resource)
                attempts),
-          None )
+          None ))
+    [@abft.waive
+      "the abandonment is accounted by value, not by a counter: the Some \
+       failure line is returned to the harness, which records it in the \
+       campaign report"]
   in
   match balance with
   | None ->
@@ -291,10 +295,6 @@ let device_storm_leg ~machine ~scheme ~balance ~obs (case : Campaign.case) =
         | _ -> None (* a leg gave up: nothing comparable this campaign *)
       in
       (counts, gave_up, cmp)
-  [@abft.waive
-    "the abandonment is accounted by value, not by a counter: the Some \
-     failure line is returned to the harness, which records it in the \
-     campaign report"]
 
 (* Solver-storm campaigns run the fault-tolerant PCG harness instead
    of a factorization: a block-Jacobi incomplete-Cholesky preconditioner

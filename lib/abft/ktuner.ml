@@ -21,27 +21,17 @@ let optimal_k ~base_s ~verify_cost_s ~error_rate ?(recovery_factor = 1.0)
   done;
   !best
 
-let verify_cost_model ~machine ~n ~b ~streams ?(fused = true) k =
+let verify_cost_model ~machine ~n ~b ~streams k =
   let gpu = machine.Hetsim.Machine.gpu in
   let fn = float_of_int n and fb = float_of_int b and fk = float_of_int k in
   (* Table V recalculation flops at interval k; BLAS-2 traffic is ~2
-     bytes per flop (one fused pass per tile). The recalculation is the
-     same in both modes (fused verification recomputes fresh sums too);
-     separate-pass runs additionally pay the standalone checksum-update
-     traffic that fused kernels absorb into the tile passes. *)
+     bytes per flop (one fused pass per tile). The checksum updates ride
+     the fused tile kernels and add no standalone traffic. *)
   let flops =
     (2. *. fn *. fn)
     +. (2. *. fn *. fn /. fk)
     +. (2. *. (fn ** 3.) /. (3. *. fb *. fk))
   in
-  let update_bytes =
-    if fused then 0.
-    else
-      let p = { Overhead_model.n; b; k } in
-      8.
-      *. (Overhead_model.update_words_separate p
-         -. Overhead_model.update_words_fused p)
-  in
-  let bytes = (2. *. flops) +. update_bytes in
+  let bytes = 2. *. flops in
   let util = Hetsim.Device.aggregate_blas2_util gpu ~concurrent:streams in
   bytes /. (gpu.Hetsim.Device.mem_bandwidth_gbs *. 1e9 *. util)

@@ -51,19 +51,12 @@ val verify_cost_model :
   n:int ->
   b:int ->
   streams:int ->
-  ?fused:bool ->
   int ->
   float
 (** The bandwidth-bound cost of Enhanced verification at interval [k]
     on a machine: the Table-V traffic ([(2n² + 2n²/k + 2n³/3bk) · 2]
     bytes) over the aggregate BLAS-2 bandwidth at the given concurrent
     stream width — a closed-form stand-in for running the simulator,
-    suitable for on-line tuning.
-
-    [?fused] (default [true], matching the drivers) selects the pass
-    structure: fused kernels carry the checksum chains through the tile
-    passes for free, while the separate-pass baseline adds the
-    standalone update traffic
-    ({!Overhead_model.update_words_separate} −
-    {!Overhead_model.update_words_fused} words). The recalculation term
-    is common to both modes. *)
+    suitable for on-line tuning. The checksum updates ride the fused
+    tile kernels, as in the drivers, so they add no standalone
+    traffic. *)

@@ -11,7 +11,6 @@ type t = {
   max_restarts : int;
   max_rollbacks : int;
   snapshot_interval : int;
-  fused : bool;
   balance : Hetsim.Load_balancer.mode option;
   balance_interval : int;
 }
@@ -28,7 +27,6 @@ let default =
     max_restarts = 3;
     max_rollbacks = 2;
     snapshot_interval = 0;
-    fused = true;
     balance = None;
     balance_interval =
       Hetsim.Load_balancer.default_config.Hetsim.Load_balancer.update_interval;
@@ -37,7 +35,7 @@ let default =
 let make ?(machine = Hetsim.Machine.tardis) ?(block = 0)
     ?(scheme = Abft.Scheme.enhanced ()) ?(opt1 = true) ?(opt2 = Auto)
     ?(recalc_streams = 0) ?(tol = Abft.Verify.default_tol) ?(max_restarts = 3)
-    ?(max_rollbacks = 2) ?(snapshot_interval = 0) ?(fused = true) ?balance
+    ?(max_rollbacks = 2) ?(snapshot_interval = 0) ?balance
     ?(balance_interval =
       Hetsim.Load_balancer.default_config.Hetsim.Load_balancer.update_interval)
     () =
@@ -58,7 +56,6 @@ let make ?(machine = Hetsim.Machine.tardis) ?(block = 0)
     max_restarts;
     max_rollbacks;
     snapshot_interval;
-    fused;
     balance;
     balance_interval;
   }
@@ -130,9 +127,9 @@ let balance_name t =
 
 let pp fmt t =
   Format.fprintf fmt
-    "%s B=%d scheme=%a opt1=%b opt2=%s streams=%d fused=%b balance=%s"
+    "%s B=%d scheme=%a opt1=%b opt2=%s streams=%d balance=%s"
     t.machine.Hetsim.Machine.name (block_size t) Abft.Scheme.pp t.scheme
     t.opt1_concurrent_recalc
     (placement_name t.opt2_placement)
     (effective_recalc_streams t)
-    t.fused (balance_name t)
+    (balance_name t)

@@ -33,14 +33,6 @@ type t = {
       (** outer iterations between verified state snapshots; [0]
           (the default) disables snapshots entirely, so clean runs and
           restart-only recovery behave exactly as without this rung *)
-  fused : bool;
-      (** carry checksum chains through the BLAS-3 kernels
-          ({!Abft.Checksum.update_fused}) and verify by
-          carried-vs-fresh {!Abft.Verify.compare} instead of running
-          separate checksum-update and full re-reduce passes. Numeric
-          results and detection coverage are identical (the chains are
-          bitwise the same); only the pass structure changes. Default
-          [true]; set [false] to measure the separate-pass baseline. *)
   balance : Hetsim.Load_balancer.mode option;
       (** CPU/GPU split of the trailing update (timing mode only):
           [None] (default) keeps the historical GPU-only trailing
@@ -57,8 +49,7 @@ type t = {
 val default : t
 (** tardis, machine-default block, Enhanced (k = 1), both
     optimizations on, [Auto] placement, {!Abft.Verify.default_tol},
-    3 restarts, 2 rollbacks, snapshots disabled, fused kernels,
-    balancing off. *)
+    3 restarts, 2 rollbacks, snapshots disabled, balancing off. *)
 
 val make :
   ?machine:Hetsim.Machine.t ->
@@ -71,7 +62,6 @@ val make :
   ?max_restarts:int ->
   ?max_rollbacks:int ->
   ?snapshot_interval:int ->
-  ?fused:bool ->
   ?balance:Hetsim.Load_balancer.mode ->
   ?balance_interval:int ->
   unit ->

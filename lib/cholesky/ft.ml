@@ -128,14 +128,9 @@ let verify_blocks st ~j ~point blocks =
   | None -> ()
   | Some store ->
       (* span wraps the whole batch (including the fold) so detection
-         cost is charged to its op — "compare" for the fused
-         carried-vs-fresh diff, "verify" for the separate-pass full
-         re-reduce — even when the sweep aborts the attempt with
-         Recovery.Error *)
-      let fused = st.cfg.Config.fused in
-      Obs.span st.obs
-        ~op:(if fused then "compare" else "verify")
-        ~phase:"abft" (fun () ->
+         cost is charged to "compare" even when the sweep aborts the
+         attempt with Recovery.Error *)
+      Obs.span st.obs ~op:"compare" ~phase:"abft" (fun () ->
       let blocks_arr = Array.of_list blocks in
       let jobs =
         Array.map
@@ -143,15 +138,12 @@ let verify_blocks st ~j ~point blocks =
           blocks_arr
       in
       let outcomes =
-        (* fused runs diff the carried checksum against one cheap fresh
+        (* diff the kernel-carried checksum against one cheap fresh
            reduction (recomputed here, not in-kernel: faults can land on
            a tile after the kernel that produced it, so the reduction
            must read the tile as verification sees it); anything dirty
            escalates inside [compare] to the full verify ladder *)
-        if fused then
-          Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
-        else
-          Abft.Verify.verify_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
+        Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
       in
       Array.iteri
         (fun k (i, c) ->
@@ -192,18 +184,18 @@ let run_attempt st ~from ~on_boundary =
   let enhanced = match scheme with Abft.Scheme.Enhanced _ -> true | _ -> false in
   let online = scheme = Abft.Scheme.Online in
   let with_ft = st.store <> None in
-  (* Fused mode: the BLAS-3 kernels carry both checksum replica chains
-     through their own blocking, so the separate chk-update passes below
-     disappear; the chains are bitwise identical either way (the fused
-     carry follows the exact separate-pass accumulation order). Spans
-     are tagged "-fused" so traces distinguish the two pass
-     structures. *)
-  let fused = with_ft && st.cfg.Config.fused in
   let kk = Abft.Scheme.verification_interval scheme in
   let tile = Tile.tile st.tiles in
   let chk i c =
     match st.store with Some s -> Abft.Checksum.get s i c | None -> assert false
   in
+  (* The BLAS-3 kernels carry both checksum replica chains through their
+     own blocking (bitwise the chains of the separate [Abft.Update]
+     rules), so there is no separate chk-update pass for SYRK, GEMM or
+     TRSM. No_ft passes no carry and runs the plain kernels; its spans
+     drop the "-fused" tag. *)
+  let carry f = if with_ft then Some (f ()) else None in
+  let span_op name = if with_ft then name ^ "-fused" else name in
   if with_ft && from = 0 then emit st Trace_op.Encode;
   for j = from to g - 1 do
     emit st (Trace_op.Iteration_start j);
@@ -221,27 +213,16 @@ let run_attempt st ~from ~on_boundary =
       let t0 = Obs.start st.obs in
       for c = 0 to j - 1 do
         let lc = tile j c in
-        if fused then
-          Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.) ~beta:1.
-            ~fused:(Abft.Checksum.update_fused ~chk_a:(chk j c) (chk j j))
-            lc lc diag
-        else
-          Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.) ~beta:1. lc
-            lc diag
+        Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.) ~beta:1.
+          ?fused:
+            (carry (fun () ->
+                 Abft.Checksum.update_fused ~chk_a:(chk j c) (chk j j)))
+          lc lc diag
       done;
-      Obs.stop st.obs ~tile:(j, j)
-        ~op:(if fused then "syrk-fused" else "syrk")
-        ~phase:"compute" t0;
+      Obs.stop st.obs ~tile:(j, j) ~op:(span_op "syrk") ~phase:"compute" t0;
       emit st (Trace_op.Syrk j);
       Injector.fire_compute st.injector ~iteration:j ~op:Fault.Syrk ~block:(j, j) diag;
       if with_ft then begin
-        if not fused then begin
-          let t0 = Obs.start st.obs in
-          for c = 0 to j - 1 do
-            Abft.Update.syrk ~chk_a:(chk j j) ~chk_lc:(chk j c) ~lc:(tile j c)
-          done;
-          Obs.stop st.obs ~tile:(j, j) ~op:"chk-syrk" ~phase:"chk-update" t0
-        end;
         emit st (Trace_op.Chk_syrk j);
         Injector.fire_update st.injector ~iteration:j ~op:Fault.Syrk
           ~block:(j, j)
@@ -257,42 +238,28 @@ let run_attempt st ~from ~on_boundary =
     if Sets.gemm_exists ~grid:g ~j then begin
       if enhanced && gate then
         verify_blocks st ~j ~point:Trace_op.Pre_gemm (Sets.pre_gemm ~grid:g ~j);
-      (* each row block i updates only tile (i, j) and — fused — its
-         checksum block: independent either way *)
+      (* each row block i updates only tile (i, j) and its checksum
+         block: independent *)
       par_for st ~lo:(j + 1) ~hi:g (fun i ->
           declare_tile st i j;
-          if fused then declare_chk st i j;
+          if with_ft then declare_chk st i j;
           let t0 = Obs.start st.obs in
           let b = tile i j in
           for c = 0 to j - 1 do
-            if fused then
-              Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.)
-                ~beta:1.
-                ~fused:(Abft.Checksum.update_fused ~chk_a:(chk i c) (chk i j))
-                (tile i c) (tile j c) b
-            else
-              Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.)
-                ~beta:1. (tile i c) (tile j c) b
+            Blas3.gemm ~pool:st.pool ~transb:Types.Trans ~alpha:(-1.) ~beta:1.
+              ?fused:
+                (carry (fun () ->
+                     Abft.Checksum.update_fused ~chk_a:(chk i c) (chk i j)))
+              (tile i c) (tile j c) b
           done;
-          Obs.stop st.obs ~tile:(i, j)
-            ~op:(if fused then "gemm-fused" else "gemm")
-            ~phase:"compute" t0);
+          Obs.stop st.obs ~tile:(i, j) ~op:(span_op "gemm") ~phase:"compute"
+            t0);
       emit st (Trace_op.Gemm j);
       for i = j + 1 to g - 1 do
         Injector.fire_compute st.injector ~iteration:j ~op:Fault.Gemm
           ~block:(i, j) (tile i j)
       done;
       if with_ft then begin
-        if not fused then
-          (* row block i touches only checksum (i, j): independent *)
-          par_for st ~lo:(j + 1) ~hi:g (fun i ->
-              declare_chk st i j;
-              let t0 = Obs.start st.obs in
-              for c = 0 to j - 1 do
-                Abft.Update.gemm ~chk_b:(chk i j) ~chk_ld:(chk i c)
-                  ~lc:(tile j c)
-              done;
-              Obs.stop st.obs ~tile:(i, j) ~op:"chk-gemm" ~phase:"chk-update" t0);
         emit st (Trace_op.Chk_gemm j);
         (* sequential like fire_compute above: the injector is not
            thread-safe and never needs to be *)
@@ -330,35 +297,24 @@ let run_attempt st ~from ~on_boundary =
       if enhanced && gate then
         verify_blocks st ~j ~point:Trace_op.Pre_trsm (Sets.pre_trsm ~grid:g ~j);
       let la = tile j j in
-      (* independent panel solves against the shared factored diagonal;
-         fused co-solves each panel's checksum chains in the same call *)
+      (* independent panel solves against the shared factored diagonal,
+         each co-solving its panel's checksum chains in the same call *)
       par_for st ~lo:(j + 1) ~hi:g (fun i ->
           declare_tile st i j;
-          if fused then declare_chk st i j;
+          if with_ft then declare_chk st i j;
           let t0 = Obs.start st.obs in
-          (if fused then
-             Blas3.trsm ~pool:st.pool
-               ~fused:(Abft.Checksum.solve_fused (chk i j))
-               Types.Right Types.Lower Types.Trans Types.Non_unit_diag la
-               (tile i j)
-           else
-             Blas3.trsm ~pool:st.pool Types.Right Types.Lower Types.Trans
-               Types.Non_unit_diag la (tile i j));
-          Obs.stop st.obs ~tile:(i, j)
-            ~op:(if fused then "trsm-fused" else "trsm")
-            ~phase:"compute" t0);
+          Blas3.trsm ~pool:st.pool
+            ?fused:(carry (fun () -> Abft.Checksum.solve_fused (chk i j)))
+            Types.Right Types.Lower Types.Trans Types.Non_unit_diag la
+            (tile i j);
+          Obs.stop st.obs ~tile:(i, j) ~op:(span_op "trsm") ~phase:"compute"
+            t0);
       emit st (Trace_op.Trsm j);
       for i = j + 1 to g - 1 do
         Injector.fire_compute st.injector ~iteration:j ~op:Fault.Trsm
           ~block:(i, j) (tile i j)
       done;
       if with_ft then begin
-        if not fused then
-          par_for st ~lo:(j + 1) ~hi:g (fun i ->
-              declare_chk st i j;
-              let t0 = Obs.start st.obs in
-              Abft.Update.trsm ~chk:(chk i j) ~la;
-              Obs.stop st.obs ~tile:(i, j) ~op:"chk-trsm" ~phase:"chk-update" t0);
         emit st (Trace_op.Chk_trsm j);
         for i = j + 1 to g - 1 do
           Injector.fire_update st.injector ~iteration:j ~op:Fault.Trsm
@@ -421,12 +377,7 @@ let final_verification st ~sweep =
         end
         else begin
           let outcomes =
-            if st.cfg.Config.fused then
-              Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol
-                jobs
-            else
-              Abft.Verify.verify_batch ~pool:st.pool ~tol:st.cfg.Config.tol
-                jobs
+            Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
           in
           Array.iteri
             (fun k (i, c) ->
@@ -556,7 +507,7 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
         verify_blocks st ~j ~point:Trace_op.Pre_snapshot
           (Sets.all_lower ~grid:st.grid);
         (* the span covers only the state capture; the verified sweep
-           above is already charged to "verify" *)
+           above is already charged to "compare" *)
         snap :=
           Some
             (Obs.span obs ~op:"snapshot" ~phase:"recovery" (fun () ->

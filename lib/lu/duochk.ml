@@ -39,11 +39,11 @@ let compare_row ?tol t tile =
 (* Combine the two verifications. Either side may additionally report a
    replica repair ([Checksum_repaired]); the combination stays a repair
    if either side healed a replica, accumulating all tile fixes. *)
-let both ~vcol ~vrow t tile =
-  match vcol t tile with
+let compare_both ?tol t tile =
+  match compare_col ?tol t tile with
   | Abft.Verify.Uncorrectable _ as u -> u
   | col_outcome -> (
-      match vrow t tile with
+      match compare_row ?tol t tile with
       | Abft.Verify.Uncorrectable _ as u -> u
       | row_outcome ->
           let fixes_of = function
@@ -65,12 +65,6 @@ let both ~vcol ~vrow t tile =
           else if fixes <> [] then Abft.Verify.Corrected fixes
           else Abft.Verify.Clean)
 
-let verify_both ?tol t tile =
-  both ~vcol:(verify_col ?tol) ~vrow:(verify_row ?tol) t tile
-
-let compare_both ?tol t tile =
-  both ~vcol:(compare_col ?tol) ~vrow:(compare_row ?tol) t tile
-
 let gemm_row ~c ~u_chk ~l =
   (* rowchk(C)_rep -= rowchk(U)_rep . L^T   (from C^T -= U^T L^T) *)
   Blas3.gemm ~transb:Types.Trans ~alpha:(-1.) ~beta:1.
@@ -82,14 +76,6 @@ let gemm_row ~c ~u_chk ~l =
 
 let fuse_col ~l_chk c = Abft.Checksum.update_fused ~chk_a:l_chk.col c.col
 let solve_col c = Abft.Checksum.solve_fused c.col
-
-let gemm ~c ~l_chk ~u_chk ~l ~u =
-  (* colchk(C) -= colchk(L) . U *)
-  Blas3.gemm ~alpha:(-1.) ~beta:1. (Abft.Checksum.matrix l_chk.col) u
-    (Abft.Checksum.matrix c.col);
-  Blas3.gemm ~alpha:(-1.) ~beta:1. (Abft.Checksum.shadow l_chk.col) u
-    (Abft.Checksum.shadow c.col);
-  gemm_row ~c ~u_chk ~l
 
 let getf2 t ~lu_packed =
   let u = Mat.triu lu_packed in
@@ -104,12 +90,6 @@ let getf2 t ~lu_packed =
     (Abft.Checksum.matrix t.row);
   Blas3.trsm Types.Right Types.Lower Types.Trans Types.Unit_diag l
     (Abft.Checksum.shadow t.row)
-
-let col_panel t ~u_diag =
-  Blas3.trsm Types.Right Types.Upper Types.No_trans Types.Non_unit_diag u_diag
-    (Abft.Checksum.matrix t.col);
-  Blas3.trsm Types.Right Types.Upper Types.No_trans Types.Non_unit_diag u_diag
-    (Abft.Checksum.shadow t.col)
 
 let row_panel t ~l_diag =
   Blas3.trsm Types.Right Types.Lower Types.Trans Types.Unit_diag l_diag

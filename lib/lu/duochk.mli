@@ -43,34 +43,25 @@ val verify_row : ?tol:float -> t -> Mat.t -> Abft.Verify.outcome
     transposed, and any corrections are written back untransposed. The
     reported corrections' [(row, col)] are in tile coordinates. *)
 
-val verify_both : ?tol:float -> t -> Mat.t -> Abft.Verify.outcome
-(** Column verification, then row verification; the combined
-    corrections (or the first uncorrectable outcome). *)
-
 val compare_col : ?tol:float -> t -> Mat.t -> Abft.Verify.outcome
-(** Fused-mode column verification ({!Abft.Verify.compare}): cheap
+(** The driver's column verification ({!Abft.Verify.compare}): cheap
     carried-vs-fresh diff, escalating to the full locate/patch ladder
     only on a mismatch. *)
 
 val compare_row : ?tol:float -> t -> Mat.t -> Abft.Verify.outcome
-(** Fused-mode row verification — the transposed analogue of
+(** The driver's row verification — the transposed analogue of
     {!compare_col}, with corrections reported in tile coordinates. *)
 
 val compare_both : ?tol:float -> t -> Mat.t -> Abft.Verify.outcome
-(** {!compare_col} then {!compare_row}, combined like
-    {!verify_both}. *)
+(** {!compare_col} then {!compare_row}: the combined corrections (a
+    replica repair if either side healed one), or the first
+    uncorrectable outcome. *)
 
 (** {1 Update rules} *)
-
-val gemm : c:t -> l_chk:t -> u_chk:t -> l:Mat.t -> u:Mat.t -> unit
-(** Trailing update [C -= L·U] on both checksum sides. *)
 
 val getf2 : t -> lu_packed:Mat.t -> unit
 (** Diagonal-tile factorization: the column side becomes [chk(L)], the
     row side becomes [chk(U)]. *)
-
-val col_panel : t -> u_diag:Mat.t -> unit
-(** Column-panel solve against the factored diagonal's [U]. *)
 
 val row_panel : t -> l_diag:Mat.t -> unit
 (** Row-panel solve against the factored diagonal's [L]. *)
@@ -95,7 +86,8 @@ val solve_col : t -> Blas3.fuse
     [Right Upper No_trans] solve. *)
 
 val gemm_row : c:t -> u_chk:t -> l:Mat.t -> unit
-(** Just the row half of {!gemm} — the separate pass that remains when
-    the column half is fused into the tile kernel. *)
+(** The row half of the trailing update, [rowchk(C) -= L·rowchk(U)] —
+    the separate pass beside the column half carried by
+    {!fuse_col}. *)
 
 val copy : t -> t

@@ -31,7 +31,6 @@ type state = {
   grid : int;
   block : int;
   tol : float;
-  fused : bool;
   tiles : Mat.t array array;  (* full grid, all tiles live *)
   chks : Duochk.t array array option;  (* None for No_ft *)
   injector : Injector.t;
@@ -62,20 +61,11 @@ let count_outcome st ~where = function
       Log.warn (fun m -> m "uncorrectable at %s: %s" where msg);
       raise (Recovery (Printf.sprintf "%s: %s" where msg))
 
-(* Fused runs verify by carried-vs-fresh [compare]; the fresh sums are
+(* Verification diffs the kernel-carried checksums against fresh sums
    recomputed here (never taken from the kernel) because injected
    faults can land in the tile after the kernel returns. *)
-let vcol st =
-  if st.fused then Duochk.compare_col ~tol:st.tol
-  else Duochk.verify_col ~tol:st.tol
-
-let vrow st =
-  if st.fused then Duochk.compare_row ~tol:st.tol
-  else Duochk.verify_row ~tol:st.tol
-
-let vboth st =
-  if st.fused then Duochk.compare_both ~tol:st.tol
-  else Duochk.verify_both ~tol:st.tol
+let vcol st = Duochk.compare_col ~tol:st.tol
+let vrow st = Duochk.compare_row ~tol:st.tol
 
 (* Verify a still-unfactored (trailing) tile against both checksum
    sides. *)
@@ -83,7 +73,7 @@ let verify_trailing st i c =
   st.verifications <- st.verifications + 1;
   count_outcome st
     ~where:(Printf.sprintf "trailing (%d,%d)" i c)
-    (vboth st (chk st i c) (tile st i c))
+    (Duochk.compare_both ~tol:st.tol (chk st i c) (tile st i c))
 
 (* Verify an L-panel tile (column checksums only). *)
 let verify_l st i c =
@@ -150,6 +140,19 @@ let verify_diag_factored st j =
 let run_attempt st ~scheme =
   let g = st.grid in
   let with_ft = st.chks <> None in
+  (* The column checksum chains ride the tile GEMM/TRSM; the row side
+     multiplies by Lᵀ where the tile multiplies by U, so it stays a
+     separate (d×B) pass. No_ft passes no carry: plain kernels. *)
+  let carry f = if with_ft then Some (f ()) else None in
+  (* tile (i, c) -= L(i, k)·U(k, c), checksums included *)
+  let update i c k =
+    Blas3.gemm ~alpha:(-1.) ~beta:1.
+      ?fused:
+        (carry (fun () -> Duochk.fuse_col ~l_chk:(chk st i k) (chk st i c)))
+      (tile st i k) (tile st k c) (tile st i c);
+    if with_ft then
+      Duochk.gemm_row ~c:(chk st i c) ~u_chk:(chk st k c) ~l:(tile st i k)
+  in
   let enhanced = match scheme with Abft.Scheme.Enhanced _ -> true | _ -> false in
   let online = scheme = Abft.Scheme.Online in
   let kk = Abft.Scheme.verification_interval scheme in
@@ -176,21 +179,7 @@ let run_attempt st ~scheme =
     end;
     let diag = tile st j j in
     for c = 0 to j - 1 do
-      if with_ft && st.fused then begin
-        (* column chains ride the tile GEMM; the row side multiplies by
-           Lᵀ where the tile multiplies by U, so it stays a separate
-           (d×B) pass *)
-        Blas3.gemm ~alpha:(-1.) ~beta:1.
-          ~fused:(Duochk.fuse_col ~l_chk:(chk st j c) (chk st j j))
-          (tile st j c) (tile st c j) diag;
-        Duochk.gemm_row ~c:(chk st j j) ~u_chk:(chk st c j) ~l:(tile st j c)
-      end
-      else begin
-        Blas3.gemm ~alpha:(-1.) ~beta:1. (tile st j c) (tile st c j) diag;
-        if with_ft then
-          Duochk.gemm ~c:(chk st j j) ~l_chk:(chk st j c) ~u_chk:(chk st c j)
-            ~l:(tile st j c) ~u:(tile st c j)
-      end
+      update j j c
     done;
     if j > 0 then
       Injector.fire_compute st.injector ~iteration:j ~op:Fault.Syrk
@@ -225,19 +214,7 @@ let run_attempt st ~scheme =
       for i = j + 1 to g - 1 do
         let t = tile st i j in
         for c = 0 to j - 1 do
-          if with_ft && st.fused then begin
-            Blas3.gemm ~alpha:(-1.) ~beta:1.
-              ~fused:(Duochk.fuse_col ~l_chk:(chk st i c) (chk st i j))
-              (tile st i c) (tile st c j) t;
-            Duochk.gemm_row ~c:(chk st i j) ~u_chk:(chk st c j)
-              ~l:(tile st i c)
-          end
-          else begin
-            Blas3.gemm ~alpha:(-1.) ~beta:1. (tile st i c) (tile st c j) t;
-            if with_ft then
-              Duochk.gemm ~c:(chk st i j) ~l_chk:(chk st i c)
-                ~u_chk:(chk st c j) ~l:(tile st i c) ~u:(tile st c j)
-          end
+          update i j c
         done;
         if j > 0 then
           Injector.fire_compute st.injector ~iteration:j ~op:Fault.Gemm
@@ -247,17 +224,11 @@ let run_attempt st ~scheme =
       if enhanced && with_ft then verify_diag_factored st j;
       for i = j + 1 to g - 1 do
         let t = tile st i j in
-        if with_ft && st.fused then
-          Blas3.trsm
-            ~fused:(Duochk.solve_col (chk st i j))
-            Types.Right Types.Upper Types.No_trans Types.Non_unit_diag u_diag
-            t
-        else
-          Blas3.trsm Types.Right Types.Upper Types.No_trans
-            Types.Non_unit_diag u_diag t;
+        Blas3.trsm
+          ?fused:(carry (fun () -> Duochk.solve_col (chk st i j)))
+          Types.Right Types.Upper Types.No_trans Types.Non_unit_diag u_diag t;
         Injector.fire_compute st.injector ~iteration:j ~op:Fault.Trsm
           ~block:(i, j) t;
-        if with_ft && not st.fused then Duochk.col_panel (chk st i j) ~u_diag;
         if online && with_ft then verify_l st i j
       done;
       (* ---- 4. row panel: symmetric ---- *)
@@ -272,19 +243,7 @@ let run_attempt st ~scheme =
       for c = j + 1 to g - 1 do
         let t = tile st j c in
         for k = 0 to j - 1 do
-          if with_ft && st.fused then begin
-            Blas3.gemm ~alpha:(-1.) ~beta:1.
-              ~fused:(Duochk.fuse_col ~l_chk:(chk st j k) (chk st j c))
-              (tile st j k) (tile st k c) t;
-            Duochk.gemm_row ~c:(chk st j c) ~u_chk:(chk st k c)
-              ~l:(tile st j k)
-          end
-          else begin
-            Blas3.gemm ~alpha:(-1.) ~beta:1. (tile st j k) (tile st k c) t;
-            if with_ft then
-              Duochk.gemm ~c:(chk st j c) ~l_chk:(chk st j k)
-                ~u_chk:(chk st k c) ~l:(tile st j k) ~u:(tile st k c)
-          end
+          update j c k
         done;
         if j > 0 then
           Injector.fire_compute st.injector ~iteration:j ~op:Fault.Gemm
@@ -344,9 +303,12 @@ let assemble st =
   Lapack.lu_unpack packed
 
 let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
-    ?(tol = Abft.Verify.default_tol) ?(max_restarts = 3) ?(fused = true) a =
+    ?(tol = Abft.Verify.default_tol) ?(max_restarts = 3) a =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Ft_lu.factor: input not square";
+  if block < 1 then
+    invalid_arg
+      (Printf.sprintf "Ft_lu.factor: block must be >= 1, got %d" block);
   let block = if n < block then n else block in
   if n <= 0 || n mod block <> 0 then
     invalid_arg
@@ -375,7 +337,6 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
         grid = g;
         block;
         tol;
-        fused;
         tiles;
         chks;
         injector;

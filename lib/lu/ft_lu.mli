@@ -43,27 +43,26 @@ val factor :
   ?block:int ->
   ?tol:float ->
   ?max_restarts:int ->
-  ?fused:bool ->
   Mat.t ->
   report
 (** [factor a] decomposes square [a] (unmodified) with per-tile dual
     checksums. Defaults: [Enhanced k=1], block 16 (or the order if
-    smaller), {!Abft.Verify.default_tol}, 3 restarts, fused kernels
-    ([?fused], default [true]: column checksum chains ride the tile
-    GEMM/TRSM via {!Duochk.fuse_col}/{!Duochk.solve_col} and
-    verification uses the carried-vs-fresh compare; the row side and
-    GETF2 rules stay separate passes either way). Supported
-    schemes: [No_ft], [Online] (post-update verification), [Enhanced]
-    (pre-read, K-gated trailing verification; panel and diagonal inputs
-    always verified, mirroring the SYRK rule of the paper's
-    Optimization 3), [Offline] (detect-only final verification).
+    smaller), {!Abft.Verify.default_tol}, 3 restarts. The column
+    checksum chains ride the tile GEMM/TRSM
+    ({!Duochk.fuse_col}/{!Duochk.solve_col}) and verification is the
+    carried-vs-fresh compare; the row side and GETF2 rules are separate
+    passes. Supported schemes: [No_ft], [Online] (post-update
+    verification), [Enhanced] (pre-read, K-gated trailing verification;
+    panel and diagonal inputs always verified, mirroring the SYRK rule
+    of the paper's Optimization 3), [Offline] (detect-only final
+    verification).
 
     Fault windows map as: [Potf2 ↦ GETF2] (diagonal tile),
     [Trsm ↦ either panel solve] (disambiguated by the target tile's
     coordinates), [Gemm ↦ trailing update], [In_storage] as in
     Cholesky.
-    @raise Invalid_argument if [a] is not square or its order is not a
-    positive multiple of the block size. *)
+    @raise Invalid_argument if [a] is not square, [block < 1], or its
+    order is not a positive multiple of the block size. *)
 
 val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -33,7 +33,6 @@ type state = {
   block : int;
   nb : int;  (* number of panels *)
   tol : float;
-  fused : bool;
   panels : Mat.t array;  (* m x block each; A panels becoming Q panels *)
   chks : Panelchk.t array option;
   r : Mat.t;  (* n x n upper, unprotected (see .mli) *)
@@ -49,14 +48,10 @@ let chk st i = match st.chks with Some c -> c.(i) | None -> assert false
 
 let verify_panel st i =
   st.verifications <- st.verifications + 1;
-  (* Fused runs verify by carried-vs-fresh [compare]; the fresh sums
-     are recomputed here (never taken from the kernel) because injected
-     faults can land in the panel after the kernel returns. *)
-  let outcome =
-    if st.fused then Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i)
-    else Panelchk.verify ~tol:st.tol (chk st i) st.panels.(i)
-  in
-  match outcome with
+  (* Carried-vs-fresh [compare]; the fresh sums are recomputed here
+     (never taken from the kernel) because injected faults can land in
+     the panel after the kernel returns. *)
+  match Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i) with
   | Abft.Verify.Clean -> ()
   | Abft.Verify.Corrected fixes ->
       Log.info (fun f ->
@@ -151,25 +146,13 @@ let run_attempt st ~scheme =
       Mat.blit ~src:rkj ~dst:st.r ~row:(k * b) ~col:(j * b);
       (* Aj -= Qk Rkj, chk(Aj) -= chk(Qk) Rkj — on both replicas, each
          reading its own copy of chk(Qk) so the chains stay
-         independent. Fused mode carries both chains through the tile
-         GEMM itself; the separate path runs them as two d×b GEMMs. *)
-      if with_ft && st.fused then
-        Blas3.gemm ~alpha:(-1.) ~beta:1.
-          ~fused:(Panelchk.fuse ~qk_chk:(chk st k) (chk st j))
-          qk rkj aj
-      else begin
-        Blas3.gemm ~alpha:(-1.) ~beta:1. qk rkj aj;
-        if with_ft then begin
-          Blas3.gemm ~alpha:(-1.) ~beta:1.
-            (Panelchk.matrix (chk st k))
-            rkj
-            (Panelchk.matrix (chk st j));
-          Blas3.gemm ~alpha:(-1.) ~beta:1.
-            (Panelchk.shadow (chk st k))
-            rkj
-            (Panelchk.shadow (chk st j))
-        end
-      end;
+         independent; both chains ride the tile GEMM itself (No_ft
+         passes no carry and runs the plain kernel). *)
+      Blas3.gemm ~alpha:(-1.) ~beta:1.
+        ?fused:
+          (if with_ft then Some (Panelchk.fuse ~qk_chk:(chk st k) (chk st j))
+           else None)
+        qk rkj aj;
       Injector.fire_compute st.injector ~iteration:j ~op:Fault.Gemm
         ~block:(j, k) aj;
       if online && with_ft then verify_panel st j
@@ -191,9 +174,12 @@ let final_verification st ~scheme =
     done
 
 let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
-    ?(tol = Abft.Verify.default_tol) ?(max_restarts = 3) ?(fused = true) a =
+    ?(tol = Abft.Verify.default_tol) ?(max_restarts = 3) a =
   let m = Mat.rows a and n = Mat.cols a in
   if n <= 0 || m < n then invalid_arg "Ft_qr.factor: need m >= n > 0";
+  if block < 1 then
+    invalid_arg
+      (Printf.sprintf "Ft_qr.factor: block must be >= 1, got %d" block);
   let block = if n < block then n else block in
   if n mod block <> 0 then
     invalid_arg
@@ -216,7 +202,6 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
         block;
         nb;
         tol;
-        fused;
         panels;
         chks;
         r = Mat.create n n;

@@ -62,21 +62,20 @@ val factor :
   ?block:int ->
   ?tol:float ->
   ?max_restarts:int ->
-  ?fused:bool ->
   Mat.t ->
   report
 (** [factor a] for [a] m×n with [m >= n > 0] and full column rank.
-    Defaults: Enhanced (k = 1), block 16 (clamped to n), 3 restarts,
-    fused kernels ([?fused], default [true]: the checksum chains of
-    both replicas ride the block-projection GEMM via {!Panelchk.fuse}
-    and verification uses the carried-vs-fresh {!Panelchk.compare};
-    the in-panel MGS checksum updates are scalar rules and unaffected).
+    Defaults: Enhanced (k = 1), block 16 (clamped to n), 3 restarts.
+    The checksum chains of both replicas ride the block-projection GEMM
+    ({!Panelchk.fuse}) and verification is the carried-vs-fresh
+    {!Panelchk.compare}; the in-panel MGS checksum updates are scalar
+    rules.
     Supported schemes: [No_ft], [Online], [Enhanced] (K gates the
     projection-input verifications; the panel about to be factored is
     always verified), [Offline] (detect-only final check of the Q
     panels).
-    @raise Invalid_argument unless [m >= n], [n > 0] and [block]
-    divides [n]. *)
+    @raise Invalid_argument unless [m >= n], [n > 0], [block >= 1] and
+    [block] (clamped to [n]) divides [n]. *)
 
 val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -263,11 +263,8 @@ let test_enhanced_late_storage_needs_sweep_too () =
   expect_outcome "sweep closes the gap" "success" r
 
 (* ------------------------------------------------------------------ *)
-(* Fused vs separate pass structure                                    *)
+(* Checksum-carrying kernels                                           *)
 (* ------------------------------------------------------------------ *)
-
-let fused_cfg ?(scheme = Abft.Scheme.enhanced ()) fused =
-  C.Config.make ~machine:tb ~block:8 ~scheme ~fused ()
 
 let bitwise_equal a b =
   let m = Mat.rows a and n = Mat.cols a in
@@ -285,42 +282,40 @@ let bitwise_equal a b =
     true
   with Exit -> false
 
-let test_fused_factor_bitwise () =
-  (* Fusion changes only the pass structure: the carried chains perform
-     the same FP additions in the same order as the separate update
-     passes, so clean-run factors must agree to the last bit — not just
-     to tol — and the verification schedule must be unchanged. *)
+let test_factor_bitwise_no_ft () =
+  (* The kernels carry the checksum chains beside the tile data and
+     never feed them back into it, so a clean protected run must produce
+     the unprotected run's factor to the last bit — not just to tol. The
+     No_ft path runs the plain kernels, so this pins the protected
+     factors to the plain pipeline. *)
   let a = spd 48 in
+  let plain = C.Ft.factor (cfg ~scheme:Abft.Scheme.No_ft ()) a in
   List.iter
     (fun scheme ->
-      let name = Abft.Scheme.name scheme in
-      let sep = C.Ft.factor (fused_cfg ~scheme false) a in
-      let fus = C.Ft.factor (fused_cfg ~scheme true) a in
+      let r = C.Ft.factor (cfg ~scheme ()) a in
       Alcotest.(check bool)
-        (name ^ " factors bitwise equal")
+        (Abft.Scheme.name scheme ^ " factor bitwise = none")
         true
-        (bitwise_equal sep.C.Ft.factor fus.C.Ft.factor);
-      Alcotest.(check int)
-        (name ^ " same verification count")
-        sep.C.Ft.stats.C.Ft.verifications fus.C.Ft.stats.C.Ft.verifications)
-    [ Abft.Scheme.Online; Abft.Scheme.enhanced (); Abft.Scheme.Offline ]
+        (bitwise_equal plain.C.Ft.factor r.C.Ft.factor))
+    [
+      Abft.Scheme.Online;
+      Abft.Scheme.enhanced ();
+      Abft.Scheme.enhanced ~k:4 ();
+      Abft.Scheme.Offline;
+    ]
 
 let test_fused_detection_parity () =
-  (* Detection coverage is part of the fusion contract: the same fault
-     plans must be caught and corrected whether the chains ride the
-     kernels or run as separate passes. *)
-  let check_plan name plan =
-    List.iter
-      (fun fused ->
-        let tag = name ^ if fused then " fused" else " separate" in
-        let r = C.Ft.factor ~plan (fused_cfg fused) (spd 48) in
-        expect_outcome tag "success" r;
-        Alcotest.(check int) (tag ^ " no restart") 0 r.C.Ft.stats.C.Ft.restarts;
-        Alcotest.(check bool)
-          (tag ^ " corrected")
-          true
-          (r.C.Ft.stats.C.Ft.corrections > 0))
-      [ false; true ]
+  (* Detection coverage is part of the fusion contract: computing and
+     storage faults must be caught and corrected inline with the chains
+     riding the kernels. *)
+  let check_plan tag plan =
+    let r = C.Ft.factor ~plan (cfg ()) (spd 48) in
+    expect_outcome tag "success" r;
+    Alcotest.(check int) (tag ^ " no restart") 0 r.C.Ft.stats.C.Ft.restarts;
+    Alcotest.(check bool)
+      (tag ^ " corrected")
+      true
+      (r.C.Ft.stats.C.Ft.corrections > 0)
   in
   check_plan "computing" computing_plan;
   check_plan "storage" storage_plan
@@ -1009,8 +1004,8 @@ let () =
         ] );
       ( "fused",
         [
-          Alcotest.test_case "factors bitwise = separate" `Quick
-            test_fused_factor_bitwise;
+          Alcotest.test_case "factors bitwise = no_ft" `Quick
+            test_factor_bitwise_no_ft;
           Alcotest.test_case "detection parity" `Quick
             test_fused_detection_parity;
         ] );

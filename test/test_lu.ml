@@ -99,8 +99,10 @@ let test_duochk_gemm_rule () =
   let l = Spd.random ~seed:5 6 6 and u = Spd.random ~seed:6 6 6 in
   let ck = Ftlu.Duochk.encode c in
   let lk = Ftlu.Duochk.encode l and uk = Ftlu.Duochk.encode u in
-  Blas3.gemm ~alpha:(-1.) ~beta:1. l u c;
-  Ftlu.Duochk.gemm ~c:ck ~l_chk:lk ~u_chk:uk ~l ~u;
+  (* the column side rides the tile GEMM, the row side is its own pass *)
+  Blas3.gemm ~alpha:(-1.) ~beta:1. ~fused:(Ftlu.Duochk.fuse_col ~l_chk:lk ck) l
+    u c;
+  Ftlu.Duochk.gemm_row ~c:ck ~u_chk:uk ~l;
   Alcotest.(check bool) "col side" true
     (Ftlu.Duochk.verify_col ~tol:1e-7 ck c = Abft.Verify.Clean);
   Alcotest.(check bool) "row side" true
@@ -126,8 +128,8 @@ let test_duochk_panel_rules () =
   (* column panel *)
   let cp = Spd.random ~seed:7 8 8 in
   let cpk = Ftlu.Duochk.encode cp in
-  Blas3.trsm Types.Right Types.Upper Types.No_trans Types.Non_unit_diag u_diag cp;
-  Ftlu.Duochk.col_panel cpk ~u_diag;
+  Blas3.trsm ~fused:(Ftlu.Duochk.solve_col cpk) Types.Right Types.Upper
+    Types.No_trans Types.Non_unit_diag u_diag cp;
   Alcotest.(check bool) "col panel" true
     (Abft.Verify.check ~tol:1e-6 (Ftlu.Duochk.col cpk) cp);
   (* row panel *)
@@ -173,33 +175,39 @@ let bitwise_equal a b =
     true
   with Exit -> false
 
-let test_ftlu_fused_bitwise () =
-  (* The column chains ride the tile GEMM/TRSM when fused; the carried
-     sums replay the separate passes' FP additions in order, so both
-     factors must come out bit-for-bit identical. *)
+let test_ftlu_bitwise_no_ft () =
+  (* The column chains ride the tile GEMM/TRSM beside the tile data and
+     never feed back into it, so a clean protected run must reproduce
+     the unprotected (plain-kernel) factors bit for bit. *)
   let a = dd 48 in
-  let sep = Ftlu.Ft_lu.factor ~fused:false ~block:8 a in
-  let fus = Ftlu.Ft_lu.factor ~fused:true ~block:8 a in
-  Alcotest.(check bool) "L bitwise" true (bitwise_equal sep.Ftlu.Ft_lu.l fus.Ftlu.Ft_lu.l);
-  Alcotest.(check bool) "U bitwise" true (bitwise_equal sep.Ftlu.Ft_lu.u fus.Ftlu.Ft_lu.u)
+  let plain = Ftlu.Ft_lu.factor ~scheme:Abft.Scheme.No_ft ~block:8 a in
+  List.iter
+    (fun scheme ->
+      let name = Abft.Scheme.name scheme in
+      let r = Ftlu.Ft_lu.factor ~scheme ~block:8 a in
+      Alcotest.(check bool) (name ^ " L bitwise") true
+        (bitwise_equal plain.Ftlu.Ft_lu.l r.Ftlu.Ft_lu.l);
+      Alcotest.(check bool) (name ^ " U bitwise") true
+        (bitwise_equal plain.Ftlu.Ft_lu.u r.Ftlu.Ft_lu.u))
+    [
+      Abft.Scheme.Online;
+      Abft.Scheme.enhanced ();
+      Abft.Scheme.enhanced ~k:4 ();
+      Abft.Scheme.Offline;
+    ]
 
 let test_ftlu_fused_detection_parity () =
-  (* A trailing-update computing error must be corrected whether or not
-     the column chains are fused into the kernels. *)
+  (* A trailing-update computing error must be corrected with the
+     column chains riding the kernels. *)
   let plan =
     [
       Fault.computing_error ~delta:1e4 ~iteration:1 ~op:Fault.Gemm ~block:(5, 1)
         ~element:(2, 2) ();
     ]
   in
-  List.iter
-    (fun fused ->
-      let tag = if fused then "fused" else "separate" in
-      let r = Ftlu.Ft_lu.factor ~plan ~fused ~block:8 (dd 48) in
-      expect tag "success" r;
-      Alcotest.(check int) (tag ^ " no restart") 0
-        r.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.restarts)
-    [ false; true ]
+  let r = Ftlu.Ft_lu.factor ~plan ~block:8 (dd 48) in
+  expect "corrected" "success" r;
+  Alcotest.(check int) "no restart" 0 r.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.restarts
 
 let test_ftlu_storage_error_in_l () =
   (* L(4,0) flips at iteration 2, read again by the lazy updates. *)
@@ -321,7 +329,16 @@ let test_ftlu_validation () =
     (try
        ignore (Ftlu.Ft_lu.factor ~block:7 (dd 48));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a block below 1 is the caller's error, reported by the driver
+     itself rather than by the grid arithmetic it would break *)
+  List.iter
+    (fun block ->
+      Alcotest.check_raises (Printf.sprintf "block %d" block)
+        (Invalid_argument
+           (Printf.sprintf "Ft_lu.factor: block must be >= 1, got %d" block))
+        (fun () -> ignore (Ftlu.Ft_lu.factor ~block (dd 48))))
+    [ 0; -4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Timing mode                                                          *)
@@ -467,8 +484,8 @@ let () =
             test_ftlu_fail_stop_recovery;
           Alcotest.test_case "k gating" `Quick test_ftlu_k_gating;
           Alcotest.test_case "validation" `Quick test_ftlu_validation;
-          Alcotest.test_case "fused factors bitwise = separate" `Quick
-            test_ftlu_fused_bitwise;
+          Alcotest.test_case "factors bitwise = no_ft" `Quick
+            test_ftlu_bitwise_no_ft;
           Alcotest.test_case "fused detection parity" `Quick
             test_ftlu_fused_detection_parity;
         ] );

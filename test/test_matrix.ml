@@ -304,6 +304,100 @@ let test_trmm_inverts_trsm () =
   Blas3.trmm Types.Left Types.Lower Types.No_trans Types.Non_unit_diag l b;
   check_mat "trmm . trsm = id" b0 b
 
+(* Every side × uplo × trans × diag case of trsm and trmm, and every
+   uplo × trans case of syrk, against the naive reference product on a
+   non-square right-hand side. syrk must also leave the opposite
+   triangle of c untouched, bit for bit. *)
+let test_blas3_all_cases () =
+  let m = 5 and n = 4 and alpha = -0.75 and beta = 0.5 in
+  let op trans x =
+    match trans with Types.No_trans -> x | Types.Trans -> Mat.transpose x
+  in
+  let uplo_s = function Types.Lower -> "lower" | Types.Upper -> "upper" in
+  let trans_s = function Types.No_trans -> "N" | Types.Trans -> "T" in
+  let uplos = [ Types.Lower; Types.Upper ]
+  and transes = [ Types.No_trans; Types.Trans ] in
+  List.iteri
+    (fun case (side, uplo, trans, diag) ->
+      let label =
+        String.concat " "
+          [
+            (match side with Types.Left -> "left" | Types.Right -> "right");
+            uplo_s uplo;
+            trans_s trans;
+            (match diag with
+            | Types.Unit_diag -> "unit"
+            | Types.Non_unit_diag -> "non-unit");
+          ]
+      in
+      let na = match side with Types.Left -> m | Types.Right -> n in
+      (* a strong diagonal keeps the solves well conditioned *)
+      let a =
+        Mat.mapi
+          (fun i j v -> if i = j then v +. 3. else v)
+          (Spd.random ~seed:(100 + case) na na)
+      in
+      let tri =
+        match uplo with
+        | Types.Lower -> Mat.tril ~diag a
+        | Types.Upper -> Mat.triu ~diag a
+      in
+      let times b =
+        match side with
+        | Types.Left -> ref_mm (op trans tri) b
+        | Types.Right -> ref_mm b (op trans tri)
+      in
+      let b = Spd.random ~seed:(200 + case) m n in
+      let x = Mat.copy b in
+      Blas3.trsm ~alpha side uplo trans diag a x;
+      check_mat ("trsm " ^ label) (Mat.scale alpha b) (times x);
+      let y = Mat.copy b in
+      Blas3.trmm ~alpha side uplo trans diag a y;
+      check_mat ("trmm " ^ label) (Mat.scale alpha (times b)) y)
+    (List.concat_map
+       (fun side ->
+         List.concat_map
+           (fun uplo ->
+             List.concat_map
+               (fun trans ->
+                 List.map
+                   (fun diag -> (side, uplo, trans, diag))
+                   [ Types.Unit_diag; Types.Non_unit_diag ])
+               transes)
+           uplos)
+       [ Types.Left; Types.Right ]);
+  List.iter
+    (fun (uplo, trans) ->
+      let label = uplo_s uplo ^ " " ^ trans_s trans in
+      let a =
+        match trans with
+        | Types.No_trans -> Spd.random ~seed:300 n m
+        | Types.Trans -> Spd.random ~seed:300 m n
+      in
+      let c0 = Spd.random ~seed:301 n n in
+      let c = Mat.copy c0 in
+      Blas3.syrk ~trans ~alpha ~beta uplo a c;
+      let full =
+        Mat.add (Mat.scale beta c0)
+          (Mat.scale alpha (ref_mm (op trans a) (Mat.transpose (op trans a))))
+      in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let written =
+            match uplo with Types.Lower -> i >= j | Types.Upper -> i <= j
+          in
+          if written then
+            check_float ("syrk " ^ label) (Mat.get full i j) (Mat.get c i j)
+          else
+            Alcotest.(check bool)
+              ("syrk " ^ label ^ " opposite triangle untouched")
+              true
+              (Int64.bits_of_float (Mat.get c i j)
+              = Int64.bits_of_float (Mat.get c0 i j))
+        done
+      done)
+    (List.concat_map (fun u -> List.map (fun t -> (u, t)) transes) uplos)
+
 let test_symm () =
   let a = Spd.random_spd ~seed:17 3 in
   let half = Mat.tril a in
@@ -1041,6 +1135,8 @@ let () =
             test_trsm_right_lower_trans;
           Alcotest.test_case "trsm alpha" `Quick test_trsm_alpha;
           Alcotest.test_case "trmm inverts trsm" `Quick test_trmm_inverts_trsm;
+          Alcotest.test_case "trsm/trmm/syrk every case" `Quick
+            test_blas3_all_cases;
           Alcotest.test_case "symm" `Quick test_symm;
         ] );
       ( "blas3-fused",

@@ -102,35 +102,39 @@ let bitwise_equal a b =
     true
   with Exit -> false
 
-let test_qr_fused_bitwise () =
-  (* Fused mode carries both replicas' chains through the
-     block-projection GEMM; the carried sums replay the separate
-     passes' additions in order, so Q and R must match to the bit. *)
+let test_qr_bitwise_no_ft () =
+  (* Both replicas' chains ride the block-projection GEMM beside the
+     panel data and never feed back into it, so a clean protected run
+     must reproduce the unprotected (plain-kernel) Q and R to the bit. *)
   let a = tall 14 in
-  let sep = Ftqr.Ft_qr.factor ~fused:false ~block:8 a in
-  let fus = Ftqr.Ft_qr.factor ~fused:true ~block:8 a in
-  Alcotest.(check bool) "Q bitwise" true
-    (bitwise_equal sep.Ftqr.Ft_qr.q fus.Ftqr.Ft_qr.q);
-  Alcotest.(check bool) "R bitwise" true
-    (bitwise_equal sep.Ftqr.Ft_qr.r fus.Ftqr.Ft_qr.r)
+  let plain = Ftqr.Ft_qr.factor ~scheme:Abft.Scheme.No_ft ~block:8 a in
+  List.iter
+    (fun scheme ->
+      let name = Abft.Scheme.name scheme in
+      let r = Ftqr.Ft_qr.factor ~scheme ~block:8 a in
+      Alcotest.(check bool) (name ^ " Q bitwise") true
+        (bitwise_equal plain.Ftqr.Ft_qr.q r.Ftqr.Ft_qr.q);
+      Alcotest.(check bool) (name ^ " R bitwise") true
+        (bitwise_equal plain.Ftqr.Ft_qr.r r.Ftqr.Ft_qr.r))
+    [
+      Abft.Scheme.Online;
+      Abft.Scheme.enhanced ();
+      Abft.Scheme.enhanced ~k:4 ();
+      Abft.Scheme.Offline;
+    ]
 
 let test_qr_fused_detection_parity () =
-  (* The projection computing error must be caught whether or not the
-     chains are fused into the projection kernel. *)
+  (* The projection computing error must be caught with the chains
+     riding the projection kernel. *)
   let plan =
     [
       Fault.computing_error ~delta:50. ~iteration:4 ~op:Fault.Gemm ~block:(4, 2)
         ~element:(11, 2) ();
     ]
   in
-  List.iter
-    (fun fused ->
-      let tag = if fused then "fused" else "separate" in
-      let r = Ftqr.Ft_qr.factor ~plan ~fused ~block:8 (tall 7) in
-      expect tag "success" r;
-      Alcotest.(check int) (tag ^ " no restart") 0
-        r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.restarts)
-    [ false; true ]
+  let r = Ftqr.Ft_qr.factor ~plan ~block:8 (tall 7) in
+  expect "corrected" "success" r;
+  Alcotest.(check int) "no restart" 0 r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.restarts
 
 let test_qr_computing_error_between_projections () =
   (* The case that forced per-projection verification: a wrong value
@@ -206,7 +210,16 @@ let test_qr_validation () =
     (try
        ignore (Ftqr.Ft_qr.factor ~block:7 (tall 12));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* a block below 1 is the caller's error, reported by the driver
+     itself rather than by the grid arithmetic it would break *)
+  List.iter
+    (fun block ->
+      Alcotest.check_raises (Printf.sprintf "block %d" block)
+        (Invalid_argument
+           (Printf.sprintf "Ft_qr.factor: block must be >= 1, got %d" block))
+        (fun () -> ignore (Ftqr.Ft_qr.factor ~block (tall 12))))
+    [ 0; -4 ]
 
 let test_qr_matches_reference_mgs () =
   (* Compare against a plain unblocked MGS on the same data: identical
@@ -353,8 +366,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_qr_validation;
           Alcotest.test_case "matches reference MGS" `Quick
             test_qr_matches_reference_mgs;
-          Alcotest.test_case "fused factors bitwise = separate" `Quick
-            test_qr_fused_bitwise;
+          Alcotest.test_case "factors bitwise = no_ft" `Quick
+            test_qr_bitwise_no_ft;
           Alcotest.test_case "fused detection parity" `Quick
             test_qr_fused_detection_parity;
         ] );
