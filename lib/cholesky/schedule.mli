@@ -31,7 +31,11 @@
       injection the scheme does not correct forces one full re-run —
       the paper's recovery accounting in Tables VII/VIII, where both
       scheme-detected recomputation and externally-detected silent
-      corruption are charged as a second pass. *)
+      corruption are charged as a second pass.
+
+    The verification batch, the update routing, the balancer's cut and
+    the rerun charge are {!Sched_core}'s, shared with the LU and QR
+    schedules. *)
 
 type result = {
   makespan : float;  (** virtual seconds, including any recovery pass *)
@@ -49,7 +53,6 @@ type result = {
 }
 
 val run :
-  ?pool:Parallel.Pool.t ->
   ?plan:Fault.t ->
   ?d:int ->
   ?policy:Hetsim.Resilient.policy ->
@@ -59,11 +62,7 @@ val run :
   n:int ->
   result
 (** [run ~plan cfg ~n] simulates the factorization of an n×n matrix.
-    [~d] is the checksum row count (default 2). [pool] is accepted for
-    call-site uniformity with {!Ft.factor} but unused: one simulation
-    is a single sequential sweep of a virtual clock (the concurrency it
-    models — streams, engines — is virtual). Use {!run_many} to spread
-    a sweep of independent simulations across real cores. [obs] is
+    [~d] is the checksum row count (default 2). [obs] is
     handed to the {!Hetsim.Resilient} driver, which emits one
     ["resilient.*"] counter per scheduling-level resilience event
     (retries, hangs, quarantines, …) into it.
@@ -81,13 +80,6 @@ val run :
     @raise Hetsim.Resilient.Gave_up if the CPU fallback is exhausted.
     @raise Invalid_argument if [n] is not a positive multiple of the
     block size. *)
-
-val run_many :
-  ?pool:Parallel.Pool.t -> ?d:int -> (Config.t * int) list -> result list
-(** [run_many jobs] simulates every [(cfg, n)] job and returns results
-    in order. Independent simulations fan out across [pool] (default
-    {!Parallel.Pool.default}) — this is how the bench sweeps use real
-    cores: many virtual machines, one per domain. *)
 
 val uncorrected : Abft.Scheme.t -> Fault.t -> Fault.t
 (** The injections of a plan that the scheme does {e not} correct in

@@ -222,15 +222,10 @@ let note_fault d = function
   | Engine.Transient_fault -> d.transient_faults <- d.transient_faults + 1
   | Engine.Corrupted_transfer | Engine.Device_lost -> ()
 
-(* capped exponential backoff with symmetric jitter: attempt [i]
-   (0-based) waits [min max_backoff (base * factor^i)] scaled by a
-   factor drawn uniformly from [1-jitter, 1+jitter] *)
-let backoff_duration t ~attempt =
-  let p = t.policy in
-  let b = p.base_backoff_s *. (p.backoff_factor ** float_of_int attempt) in
-  let b = Float.min b p.max_backoff_s in
-  let u = Random.State.float t.rng 1. in
-  b *. (1. +. (p.jitter *. ((2. *. u) -. 1.)))
+let jittered_backoff ~base ~factor ~cap ~jitter rng k =
+  let b = Float.min (base *. (factor ** float_of_int k)) cap in
+  let u = Random.State.float rng 1. in
+  b *. (1. +. (jitter *. ((2. *. u) -. 1.)))
 
 let deps_now t deps = Engine.time_of t.engine (Engine.join t.engine deps)
 
@@ -330,7 +325,11 @@ let retried t ~resource ~run ~fallback =
           fail_over ~failure:f ~attempt ~ev
         end
         else begin
-          let b = backoff_duration t ~attempt in
+          let p = t.policy in
+          let b =
+            jittered_backoff ~base:p.base_backoff_s ~factor:p.backoff_factor
+              ~cap:p.max_backoff_s ~jitter:p.jitter t.rng attempt
+          in
           d.backoff_s <- d.backoff_s +. b;
           wasted := !wasted +. b;
           Obs.observe t.obs "resilient.backoff_s" b;

@@ -73,6 +73,20 @@ val default_policy : policy
     GPU); re-probing disabled ([reprobe_after_s = infinity], 2
     successes to rejoin once enabled). *)
 
+val jittered_backoff :
+  base:float ->
+  factor:float ->
+  cap:float ->
+  jitter:float ->
+  Random.State.t ->
+  int ->
+  float
+(** [jittered_backoff ~base ~factor ~cap ~jitter rng k] is the [k]-th
+    (0-based) wait of a capped exponential with symmetric jitter:
+    [min cap (base * factor^k)] scaled by one uniform draw from [rng]
+    in [1-jitter, 1+jitter]. The driver's retry backoff and
+    [Serving.Breaker]'s open-state cooldown both use it. *)
+
 type device_stats = {
   submitted : int;  (** attempts on this device, including retries *)
   completed : int;

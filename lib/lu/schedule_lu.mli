@@ -1,9 +1,10 @@
 (** Timing-mode schedule for the FT-LU extension — the LU analogue of
     {!Cholesky.Schedule}, on the same {!Hetsim.Engine} and with the same
     modelling conventions (one engine operation per kernel class per
-    iteration; verification as concurrent BLAS-2 batches; checksum
-    updating routed per Optimization-2 placement; uncorrected faults
-    charge one full recovery pass).
+    iteration), through the same {!Cholesky.Sched_core}: verification
+    as concurrent BLAS-2 batches, checksum updating routed per
+    Optimization-2 placement, the balancer's CPU/GPU cut, and one full
+    recovery pass per uncorrected fault.
 
     The schedule is the left-looking order {!Ft_lu} executes: lazy
     diagonal update → GETF2 on the CPU (between the two PCIe diagonal
@@ -12,27 +13,27 @@
     traffic relative to Cholesky's single-sided encoding — the honest
     price of protecting both factors. *)
 
-type result = {
+type result = Cholesky.Sched_core.result = {
   makespan : float;
   gflops : float;  (** (2n³/3) / makespan / 1e9 *)
   reruns : int;
   engine : Hetsim.Engine.t;
   resilience : Hetsim.Resilient.stats;
-      (** device-failure accounting, as in {!Cholesky.Schedule} *)
   degraded : bool;
 }
+(** The shared timing result of {!Cholesky.Sched_core}. *)
 
 val run :
   ?plan:Fault.t ->
-  ?d:int ->
   ?policy:Hetsim.Resilient.policy ->
   ?fault_seed:int ->
   Cholesky.Config.t ->
   n:int ->
   result
 (** [run cfg ~n] simulates FT-LU of an n×n matrix on the config's
-    machine. The config's scheme/optimizations are honoured exactly as
-    in {!Cholesky.Schedule.run}; fault classification reuses
+    machine, with two checksum rows per tile side. The config's
+    scheme/optimizations are honoured exactly as in
+    {!Cholesky.Schedule.run}; fault classification reuses
     {!Cholesky.Schedule.uncorrected} (the [Potf2] window reads as
     GETF2).
     @raise Invalid_argument if [n] is not a positive multiple of the

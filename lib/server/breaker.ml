@@ -67,16 +67,13 @@ let create ?(policy = default_policy) ?(seed = 0) () =
 let state t = t.state
 let trips t = t.trips
 
-(* capped exponential with symmetric jitter, as in
-   Resilient.backoff_duration: open [k] (0-based) cools down for
-   [min max (base * factor^k)] scaled by a draw from
-   [1-jitter, 1+jitter] *)
+(* open [k] (0-based, the escalation) cools down on the driver's
+   capped-exponential-with-jitter ladder *)
 let cooldown t =
   let p = t.policy in
-  let b = p.cooldown_base_s *. (p.cooldown_factor ** float_of_int t.escalation) in
-  let b = Float.min b p.cooldown_max_s in
-  let u = Random.State.float t.rng 1. in
-  b *. (1. +. (p.jitter *. ((2. *. u) -. 1.)))
+  Hetsim.Resilient.jittered_backoff ~base:p.cooldown_base_s
+    ~factor:p.cooldown_factor ~cap:p.cooldown_max_s ~jitter:p.jitter t.rng
+    t.escalation
 
 let trip t ~now =
   t.until <- now +. cooldown t;

@@ -688,7 +688,9 @@ let balance_run ?(machine = tb) ?policy ?(seed = 5) ?balance n =
 
 (* On a clean machine the balancer's efficiency estimates never leave
    their 1.0 fixpoint, so the adaptive schedule must be the static one
-   bitwise — same makespan, same trace, zero resplits. *)
+   bitwise — same makespan, same trace, zero resplits. DESIGN §7b claims
+   this for all three schedules, so the LU and QR schedules are held to
+   it too (same makespan, same resilience accounting). *)
 let test_balance_clean_adaptive_equals_static () =
   let stat = balance_run ~balance:Hetsim.Load_balancer.Static 128 in
   let adapt = balance_run ~balance:Hetsim.Load_balancer.Adaptive 128 in
@@ -697,7 +699,33 @@ let test_balance_clean_adaptive_equals_static () =
   Alcotest.(check bool) "identical trace" true
     (adapt.C.Schedule.trace = stat.C.Schedule.trace);
   Alcotest.(check int) "zero resplits" 0
-    adapt.C.Schedule.resilience.Hetsim.Resilient.resplits
+    adapt.C.Schedule.resilience.Hetsim.Resilient.resplits;
+  let cfg balance =
+    C.Config.make ~machine:tb ~block:8 ~scheme:(Abft.Scheme.enhanced ())
+      ~balance ()
+  in
+  List.iter
+    (fun (name, run) ->
+      let stat : C.Sched_core.result = run Hetsim.Load_balancer.Static in
+      let adapt = run Hetsim.Load_balancer.Adaptive in
+      Alcotest.(check bool)
+        (name ^ ": clean adaptive = static makespan, bitwise")
+        true
+        (Float.equal adapt.C.Sched_core.makespan stat.C.Sched_core.makespan);
+      Alcotest.(check bool)
+        (name ^ ": identical resilience accounting")
+        true
+        (adapt.C.Sched_core.resilience = stat.C.Sched_core.resilience);
+      Alcotest.(check int) (name ^ ": zero resplits") 0
+        adapt.C.Sched_core.resilience.Hetsim.Resilient.resplits)
+    [
+      ( "lu",
+        fun balance -> Ftlu.Schedule_lu.run ~fault_seed:5 (cfg balance) ~n:128
+      );
+      ( "qr",
+        fun balance ->
+          Ftqr.Schedule_qr.run ~fault_seed:5 (cfg balance) ~m:256 ~n:128 );
+    ]
 
 (* Seeded determinism of the adaptive split (satellite): the balancer
    draws no randomness of its own, so a (machine, seed) pair pins the
