@@ -1,7 +1,7 @@
 (* R8 — exception-path soundness for the recovery ladder.
 
-   A recovery-family raise ([Recovery.Error], the LU/QR drivers' local
-   [Recovery _], [Resilient]'s [Gave_up]) abandons work. The ladder's
+   A recovery-family raise ([Recovery.Error], which every numeric
+   driver raises, or [Resilient]'s [Gave_up]) abandons work. The ladder's
    accounting contract is that abandonment is always visible: either
    the raising function has already updated stats (a field mutation, a
    counter bump, or a call to a helper that does — [mark_degraded],

@@ -1,13 +1,12 @@
 open Matrix
 module Pool = Parallel.Pool
 
-let src = Logs.Src.create "ftchol.cholesky" ~doc:"FT Cholesky driver events"
+type outcome = Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Recovery.reason
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type outcome = Success | Silent_corruption | Gave_up of Recovery.reason
-
-type stats = {
+type stats = Recovery.stats = {
   verifications : int;
   corrections : int;
   reconstructions : int;
@@ -27,8 +26,6 @@ type report = {
   injections_fired : Injector.fired list;
   trace : Trace_op.t list;
 }
-
-let residual_threshold = 1e-6
 
 exception Cancelled of { iteration : int; stats : stats }
 
@@ -51,11 +48,10 @@ type attempt_state = {
   obs : Obs.t;  (* span/counter sink; Obs.null when untraced *)
   tag_tile : string;  (* racecheck tag for tile writes, unique per run *)
   tag_chk : string;  (* racecheck tag for checksum-block writes *)
+  tally : Recovery.stats ref;  (* the run's counters, shared by attempts *)
   mutable trace : Trace_op.t list;  (* reverse order *)
-  mutable verifications : int;
-  mutable corrections : int;
-  mutable reconstructions : int;
-  mutable checksum_repairs : int;
+  mutable snap : Checkpoint.snapshot option;  (* last verified snapshot *)
+  mutable rollbacks_here : int;  (* rollbacks taken by this attempt *)
 }
 
 let emit st op = st.trace <- op :: st.trace
@@ -105,23 +101,30 @@ let declare_chk st i c =
   if Pool.racecheck_enabled st.pool then
     Pool.declare_write st.pool ~tag:st.tag_chk ~rows:(i, i) ~cols:(c, c)
 
-(* Ladder rung accounting: located-and-patched elements and plain-sum
-   reconstructions are different rungs of the inline recovery ladder,
-   so count them apart. *)
-let count_fixes st fixes =
-  List.iter
-    (fun (f : Abft.Verify.correction) ->
-      match f.Abft.Verify.source with
-      | Abft.Verify.Located -> st.corrections <- st.corrections + 1
-      | Abft.Verify.Reconstructed ->
-          st.reconstructions <- st.reconstructions + 1)
-    fixes
+let jobs_of st store blocks =
+  Array.map
+    (fun (i, c) -> (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
+    blocks
 
-(* Verify the listed tiles, correcting in place; raise Recovery.Error on
-   the first uncorrectable tile. The independent per-tile verifications
-   fan out across the pool (the paper's Optimization 1 on real cores);
+(* Verify [blocks], correcting in place; raise Recovery.Error on the
+   first uncorrectable tile. The independent per-tile verifications fan
+   out across the pool (the paper's Optimization 1 on real cores);
    outcomes are then folded in block order, so counters and the choice
    of "first" uncorrectable block match a sequential sweep exactly. *)
+let compare_blocks ?final st store blocks =
+  let outcomes =
+    (* diff the kernel-carried checksum against one cheap fresh
+       reduction (recomputed here, not in-kernel: faults can land on a
+       tile after the kernel that produced it, so the reduction must
+       read the tile as verification sees it); anything dirty escalates
+       inside [compare] to the full verify ladder *)
+    Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol
+      (jobs_of st store blocks)
+  in
+  Array.iteri
+    (fun k block -> Recovery.account st.tally ?final ~block outcomes.(k))
+    blocks
+
 let verify_blocks st ~j ~point blocks =
   emit st (Trace_op.Verify { j; point; blocks });
   match st.store with
@@ -131,47 +134,7 @@ let verify_blocks st ~j ~point blocks =
          cost is charged to "compare" even when the sweep aborts the
          attempt with Recovery.Error *)
       Obs.span st.obs ~op:"compare" ~phase:"abft" (fun () ->
-      let blocks_arr = Array.of_list blocks in
-      let jobs =
-        Array.map
-          (fun (i, c) -> (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
-          blocks_arr
-      in
-      let outcomes =
-        (* diff the kernel-carried checksum against one cheap fresh
-           reduction (recomputed here, not in-kernel: faults can land on
-           a tile after the kernel that produced it, so the reduction
-           must read the tile as verification sees it); anything dirty
-           escalates inside [compare] to the full verify ladder *)
-        Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
-      in
-      Array.iteri
-        (fun k (i, c) ->
-          st.verifications <- st.verifications + 1;
-          match outcomes.(k) with
-          | Abft.Verify.Clean -> ()
-          | Abft.Verify.Corrected fixes ->
-              Log.info (fun m ->
-                  m "iteration %d: corrected %d element(s) in block (%d,%d)" j
-                    (List.length fixes) i c);
-              count_fixes st fixes
-          | Abft.Verify.Checksum_repaired { cells; corrections } ->
-              Log.info (fun m ->
-                  m
-                    "iteration %d: repaired %d checksum cell(s) of block \
-                     (%d,%d) (+%d tile fix(es))"
-                    j cells i c
-                    (List.length corrections));
-              st.checksum_repairs <- st.checksum_repairs + 1;
-              count_fixes st corrections
-          | Abft.Verify.Uncorrectable msg ->
-              Log.warn (fun m ->
-                  m "iteration %d: uncorrectable at block (%d,%d): %s" j i c
-                    msg);
-              raise
-                (Recovery.Error
-                   (Recovery.Uncorrectable_block { block = (i, c); detail = msg })))
-        blocks_arr)
+          compare_blocks st store (Array.of_list blocks))
 
 (* One attempt of the full factorization over fresh tiles, starting at
    outer iteration [from] (0 for a fresh attempt, the snapshot's
@@ -347,15 +310,10 @@ let final_verification st ~sweep =
     | None -> ()
     | Some store ->
         let blocks_arr = Array.of_list blocks in
-        let jobs =
-          Array.map
-            (fun (i, c) ->
-              (Abft.Checksum.get store i c, Tile.tile st.tiles i c))
-            blocks_arr
-        in
         if offline then begin
           (* detect-only: read-only checks fan out, results fold in
              block order so the reported first mismatch is stable *)
+          let jobs = jobs_of st store blocks_arr in
           let ok = Array.make (Array.length jobs) true in
           let run_one k =
             let chk, tile = jobs.(k) in
@@ -366,35 +324,10 @@ let final_verification st ~sweep =
               ~hi:(Array.length jobs) run_one
           else Array.iteri (fun k _ -> run_one k) jobs;
           Array.iteri
-            (fun k (i, c) ->
-              st.verifications <- st.verifications + 1;
-              if not ok.(k) then
-                raise
-                  (Recovery.Error
-                     (Recovery.Final_mismatch
-                        { block = (i, c); detail = "mismatch at end of run" })))
+            (fun k block -> Recovery.detect st.tally ~block ok.(k))
             blocks_arr
         end
-        else begin
-          let outcomes =
-            Abft.Verify.compare_batch ~pool:st.pool ~tol:st.cfg.Config.tol jobs
-          in
-          Array.iteri
-            (fun k (i, c) ->
-              st.verifications <- st.verifications + 1;
-              match outcomes.(k) with
-              | Abft.Verify.Clean -> ()
-              | Abft.Verify.Corrected fixes -> count_fixes st fixes
-              | Abft.Verify.Checksum_repaired { cells = _; corrections } ->
-                  st.checksum_repairs <- st.checksum_repairs + 1;
-                  count_fixes st corrections
-              | Abft.Verify.Uncorrectable msg ->
-                  raise
-                    (Recovery.Error
-                       (Recovery.Final_mismatch
-                          { block = (i, c); detail = msg })))
-            blocks_arr
-        end
+        else compare_blocks ~final:true st store blocks_arr
   end
 
 let lower_of_tiles tiles = Mat.tril (Tile.to_mat tiles)
@@ -406,7 +339,7 @@ let residual_of ~input l =
       "residual check on the finished factor: it runs after the scheme's own \
        verification and exists to second-guess it, so it must read L as-is"])
   in
-  Mat.norm_fro (Mat.sub_mat recon input) /. Float.max 1. (Mat.norm_fro input)
+  Recovery.residual ~input recon
 
 (* The graduated recovery ladder, cheapest rung first:
 
@@ -423,7 +356,9 @@ let residual_of ~input l =
       attempt;
    4. full restart — no usable snapshot or budget exhausted: recompute
       from the pristine input, up to [max_restarts] times;
-   5. give up, reporting the last structured reason. *)
+   5. give up, reporting the last structured reason.
+
+   Rungs 3-5 are {!Recovery.ladder}; this driver supplies rung 3. *)
 let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
     ?(cancel = fun () -> false) cfg a =
   (match Config.validate cfg with
@@ -439,12 +374,9 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
                        block size %d" n b);
   let run_id = Atomic.fetch_and_add run_ids 1 in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 in
-  let fail_stops = ref 0 in
-  let snapshots_total = ref 0 in
-  let rollbacks_total = ref 0 in
+  let tally = ref Recovery.zero in
   let snap_every = cfg.Config.snapshot_interval in
-  let rec attempt k =
+  let attempt () =
     let tiles =
       Obs.span obs ~op:"init" ~phase:"setup" (fun () -> Tile.of_mat ~block:b a)
     in
@@ -456,97 +388,58 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
             (Obs.span obs ~op:"encode" ~phase:"abft" (fun () ->
                  Abft.Checksum.encode_lower ~pool tiles))
     in
-    let st =
-      {
-        cfg;
-        grid = n / b;
-        tiles;
-        store;
-        injector;
-        pool;
-        obs;
-        tag_tile = Printf.sprintf "tile#%d" run_id;
-        tag_chk = Printf.sprintf "chk#%d" run_id;
-        trace = [];
-        verifications = 0;
-        corrections = 0;
-        reconstructions = 0;
-        checksum_repairs = 0;
-      }
-    in
-    let snap = ref None in
-    let rollbacks_here = ref 0 in
-    let on_boundary j =
-      (* Cooperative cancellation: iteration boundaries are the only
-         points where no tile is half-written and no span is open, so
-         bailing here can never publish a torn result. The partial
-         stats let the caller report how far the run got. *)
-      if cancel () then
-        raise
-          (Cancelled
-             {
-               iteration = j;
-               stats =
-                 {
-                   verifications = st.verifications;
-                   corrections = st.corrections;
-                   reconstructions = st.reconstructions;
-                   checksum_repairs = st.checksum_repairs;
-                   uncorrectable_events = !uncorrectable_events;
-                   fail_stops = !fail_stops;
-                   rollbacks = !rollbacks_total;
-                   snapshots = !snapshots_total;
-                   restarts = k;
-                 };
-             });
-      if snap_every > 0 && j > 0 && j mod snap_every = 0 then begin
-        (* Verified snapshot: sweep the whole triangle first so the
-           captured state is known-consistent — rolling back to an
-           unverified snapshot would faithfully restore corruption. A
-           failure here escalates through the ladder like any other. *)
-        verify_blocks st ~j ~point:Trace_op.Pre_snapshot
-          (Sets.all_lower ~grid:st.grid);
-        (* the span covers only the state capture; the verified sweep
-           above is already charged to "compare" *)
-        snap :=
-          Some
-            (Obs.span obs ~op:"snapshot" ~phase:"recovery" (fun () ->
-                 Checkpoint.take ~iteration:j st.tiles st.store));
-        incr snapshots_total;
-        emit st (Trace_op.Snapshot j)
-      end
-    in
-    let rec go from =
-      match
-        run_attempt st ~from ~on_boundary;
-        final_verification st ~sweep:final_sweep;
-        ()
-      with
-      | () -> (k, st, None)
-      | exception Recovery.Error reason -> (
-          incr uncorrectable_events;
-          if Recovery.is_fail_stop reason then incr fail_stops;
-          match !snap with
-          | Some s when !rollbacks_here < cfg.Config.max_rollbacks ->
-              incr rollbacks_here;
-              incr rollbacks_total;
-              Log.warn (fun m ->
-                  m "attempt %d failed (%s); rolling back to iteration %d"
-                    k (Recovery.describe reason) s.Checkpoint.iteration);
-              Obs.span obs ~op:"rollback" ~phase:"recovery" (fun () ->
-                  Checkpoint.restore s ~tiles:st.tiles ~store:st.store);
-              emit st (Trace_op.Rollback s.Checkpoint.iteration);
-              go s.Checkpoint.iteration
-          | _ ->
-              Log.warn (fun m ->
-                  m "attempt %d failed (%s); recovering by recomputation" k
-                    (Recovery.describe reason));
-              (* Discard this attempt's state; retry on pristine data
-                 (transient injections do not re-fire). *)
-              if k < cfg.Config.max_restarts then attempt (k + 1)
-              else (k, st, Some reason))
-    in
-    go 0
+    {
+      cfg;
+      grid = n / b;
+      tiles;
+      store;
+      injector;
+      pool;
+      obs;
+      tag_tile = Printf.sprintf "tile#%d" run_id;
+      tag_chk = Printf.sprintf "chk#%d" run_id;
+      tally;
+      trace = [];
+      snap = None;
+      rollbacks_here = 0;
+    }
+  in
+  let on_boundary st j =
+    (* Cooperative cancellation: iteration boundaries are the only
+       points where no tile is half-written and no span is open, so
+       bailing here can never publish a torn result. The partial
+       stats let the caller report how far the run got. *)
+    if cancel () then raise (Cancelled { iteration = j; stats = !tally });
+    if snap_every > 0 && j > 0 && j mod snap_every = 0 then begin
+      (* Verified snapshot: sweep the whole triangle first so the
+         captured state is known-consistent — rolling back to an
+         unverified snapshot would faithfully restore corruption. A
+         failure here escalates through the ladder like any other. *)
+      verify_blocks st ~j ~point:Trace_op.Pre_snapshot
+        (Sets.all_lower ~grid:st.grid);
+      (* the span covers only the state capture; the verified sweep
+         above is already charged to "compare" *)
+      st.snap <-
+        Some
+          (Obs.span obs ~op:"snapshot" ~phase:"recovery" (fun () ->
+               Checkpoint.take ~iteration:j st.tiles st.store));
+      tally := { !tally with snapshots = !tally.snapshots + 1 };
+      emit st (Trace_op.Snapshot j)
+    end
+  in
+  let run st ~from =
+    run_attempt st ~from ~on_boundary:(on_boundary st);
+    final_verification st ~sweep:final_sweep
+  in
+  let rollback st =
+    match st.snap with
+    | Some s when st.rollbacks_here < cfg.Config.max_rollbacks ->
+        st.rollbacks_here <- st.rollbacks_here + 1;
+        Obs.span obs ~op:"rollback" ~phase:"recovery" (fun () ->
+            Checkpoint.restore s ~tiles:st.tiles ~store:st.store);
+        emit st (Trace_op.Rollback s.Checkpoint.iteration);
+        Some s.Checkpoint.iteration
+    | _ -> None
   in
   (* The run's sink doubles as the pool's for the duration, so pool
      batch counters land in the same place as the driver's spans; the
@@ -556,32 +449,16 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
   Fun.protect
     ~finally:(fun () -> Pool.set_obs pool prev_obs)
     (fun () ->
-      let restarts, st, failure = attempt 0 in
+      let st, failure =
+        Recovery.ladder ~rollback tally ~max_restarts:cfg.Config.max_restarts
+          ~attempt ~run
+      in
       let l, residual =
         Obs.span obs ~op:"residual" ~phase:"check" (fun () ->
             let l = lower_of_tiles st.tiles in
             (l, residual_of ~input:a l))
       in
-      let outcome =
-        match failure with
-        | Some reason -> Gave_up reason
-        | None ->
-            if residual <= residual_threshold then Success
-            else Silent_corruption
-      in
-      let stats =
-        {
-          verifications = st.verifications;
-          corrections = st.corrections;
-          reconstructions = st.reconstructions;
-          checksum_repairs = st.checksum_repairs;
-          uncorrectable_events = !uncorrectable_events;
-          fail_stops = !fail_stops;
-          rollbacks = !rollbacks_total;
-          snapshots = !snapshots_total;
-          restarts;
-        }
-      in
+      let stats = !tally in
       if Obs.enabled obs then begin
         let c name v = Obs.incr obs ~by:(float_of_int v) ("ft." ^ name) in
         c "verifications" stats.verifications;
@@ -596,26 +473,17 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
       end;
       {
         factor = l;
-        outcome;
+        outcome = Recovery.classify failure ~residual;
         residual;
         stats;
         injections_fired = Injector.fired injector;
         trace = List.rev st.trace;
       })
 
-let pp_outcome fmt = function
-  | Success -> Format.pp_print_string fmt "success"
-  | Silent_corruption -> Format.pp_print_string fmt "silent corruption"
-  | Gave_up reason -> Format.fprintf fmt "gave up: %a" Recovery.pp reason
+let pp_outcome = Recovery.pp_outcome
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>outcome: %a@,residual: %.3e@,verifications: %d, corrections: %d, \
-     reconstructions: %d, checksum repairs: %d@,rollbacks: %d (snapshots: \
-     %d), restarts: %d, uncorrectable: %d, fail-stops: %d@,injections fired: \
-     %d@]"
-    pp_outcome r.outcome r.residual r.stats.verifications r.stats.corrections
-    r.stats.reconstructions r.stats.checksum_repairs r.stats.rollbacks
-    r.stats.snapshots r.stats.restarts r.stats.uncorrectable_events
-    r.stats.fail_stops
+    "@[<v>outcome: %a@,residual: %.3e@,%a@,injections fired: %d@]" pp_outcome
+    r.outcome r.residual Recovery.pp_stats r.stats
     (List.length r.injections_fired)

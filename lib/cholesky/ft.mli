@@ -32,6 +32,9 @@
       [Config.max_restarts] times;
     + give up, reporting the structured {!Recovery.reason}.
 
+    The counting, restart and give-up rungs are the shared
+    {!Recovery.ladder}; this driver adds the snapshot-rollback rung.
+
     The driver also emits the logical {!Trace_op} trace that the
     timing-mode {!Schedule} generator must reproduce (snapshots and
     rollbacks are numeric-mode-only trace entries and are off by
@@ -39,38 +42,30 @@
 
 open Matrix
 
-type outcome =
-  | Success  (** factor returned and residual at working precision *)
+type outcome = Recovery.outcome =
+  | Success
   | Silent_corruption
-      (** the run completed believing it succeeded, but the factor is
-          wrong — e.g. Online-ABFT after a storage error (the paper's
-          motivating failure) *)
-  | Gave_up of Recovery.reason
-      (** every ladder rung exhausted; payload is the last failure *)
+  | Gave_up of Recovery.reason  (** see {!Recovery.outcome} *)
 
-type stats = {
-  verifications : int;  (** tile verifications performed *)
-  corrections : int;  (** elements located and delta-patched (rung 1) *)
+type stats = Recovery.stats = {
+  verifications : int;
+  corrections : int;
   reconstructions : int;
-      (** elements rebuilt from the plain-sum row (rung 2) *)
   checksum_repairs : int;
-      (** checksum blocks healed after replica disagreement *)
-  uncorrectable_events : int;  (** verifications that triggered recovery *)
-  fail_stops : int;  (** positive-definiteness losses in POTF2 *)
-  rollbacks : int;  (** snapshot rollbacks taken (rung 3), all attempts *)
-  snapshots : int;  (** snapshots captured, all attempts *)
-  restarts : int;  (** full restarts (rung 4) *)
+  uncorrectable_events : int;
+  fail_stops : int;
+  rollbacks : int;
+  snapshots : int;
+  restarts : int;
 }
+(** See {!Recovery.stats}; here [fail_stops] counts positive-definiteness
+    losses in POTF2. *)
 
 type report = {
   factor : Mat.t;  (** lower-triangular result (last attempt's) *)
   outcome : outcome;
   residual : float;  (** ‖L·Lᵀ − A‖_F / ‖A‖_F against the pristine input *)
   stats : stats;
-      (** [verifications], [corrections], [reconstructions] and
-          [checksum_repairs] cover the final attempt; [rollbacks],
-          [snapshots], [uncorrectable_events] and [fail_stops] are
-          whole-run totals *)
   injections_fired : Injector.fired list;
   trace : Trace_op.t list;  (** logical trace of the {e last} attempt *)
 }
@@ -130,10 +125,6 @@ val factor :
     bitwise identical to an uninstrumented run.
     @raise Invalid_argument if [a] is not square, its order is not a
     positive multiple of the block size, or the config is invalid. *)
-
-val residual_threshold : float
-(** Residual above which a completed run is classified
-    {!Silent_corruption} ([1e-6]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -37,4 +37,4 @@ val factor :
     (pre-read, K-gated trailing verifications), [Offline] (detect-only
     final check). The [trace] field of the report is left empty — there
     is no timing-mode counterpart for this ablation driver.
-    @raise Invalid_argument as {!Ft.factor}. *)
+    @raise Invalid_argument as {!Ft.factor}, and if [block < 1]. *)

@@ -18,15 +18,27 @@
 
 open Matrix
 
-type outcome = Success | Silent_corruption | Gave_up of string
+type outcome = Cholesky.Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Cholesky.Recovery.reason
+      (** structured, as for Cholesky: a singular GETF2 pivot is a
+          [Fail_stop], a failed Offline final check a [Final_mismatch] *)
 
-type stats = {
+type stats = Cholesky.Recovery.stats = {
   verifications : int;
   corrections : int;
+  reconstructions : int;
+  checksum_repairs : int;
   uncorrectable_events : int;
   fail_stops : int;
+  rollbacks : int;
+  snapshots : int;
   restarts : int;
 }
+(** The Cholesky driver's counters ({!Cholesky.Recovery.stats}).
+    [fail_stops] counts singular pivots; [rollbacks] and [snapshots]
+    stay 0 (this driver has no snapshot rung). *)
 
 type report = {
   l : Mat.t;  (** unit-lower factor *)
@@ -61,9 +73,14 @@ val factor :
     [Trsm ↦ either panel solve] (disambiguated by the target tile's
     coordinates), [Gemm ↦ trailing update], [In_storage] as in
     Cholesky.
+
+    Recovery is {!Cholesky.Recovery.ladder} without a rollback rung:
+    any {!Cholesky.Recovery.Error} (uncorrectable tile, singular pivot,
+    Offline mismatch, or a diagonal-tile correction landing outside the
+    triangle it claims to fix) discards the attempt and recomputes, up
+    to [max_restarts] times, then gives up with the last reason.
     @raise Invalid_argument if [a] is not square, [block < 1], or its
     order is not a positive multiple of the block size. *)
 
-val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

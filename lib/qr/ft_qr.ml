@@ -1,16 +1,20 @@
 open Matrix
+module Recovery = Cholesky.Recovery
 
-let src = Logs.Src.create "ftchol.qr" ~doc:"FT QR driver events"
+type outcome = Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Recovery.reason
 
-module Log = (val Logs.src_log src : Logs.LOG)
-
-type outcome = Success | Silent_corruption | Gave_up of string
-
-type stats = {
+type stats = Recovery.stats = {
   verifications : int;
   corrections : int;
+  reconstructions : int;
+  checksum_repairs : int;
   uncorrectable_events : int;
   fail_stops : int;
+  rollbacks : int;
+  snapshots : int;
   restarts : int;
 }
 
@@ -24,12 +28,7 @@ type report = {
   injections_fired : Injector.fired list;
 }
 
-let residual_threshold = 1e-6
-
-exception Recovery of string
-
 type state = {
-  m : int;
   block : int;
   nb : int;  (* number of panels *)
   tol : float;
@@ -37,8 +36,7 @@ type state = {
   chks : Panelchk.t array option;
   r : Mat.t;  (* n x n upper, unprotected (see .mli) *)
   injector : Injector.t;
-  mutable verifications : int;
-  mutable corrections : int;
+  tally : Recovery.stats ref;
 }
 
 let lookup st (i, _c) =
@@ -46,24 +44,13 @@ let lookup st (i, _c) =
 
 let chk st i = match st.chks with Some c -> c.(i) | None -> assert false
 
+(* Panel [i] is reported as block [(i, i)]. Carried-vs-fresh
+   [compare]; the fresh sums are recomputed here (never taken from the
+   kernel) because injected faults can land in the panel after the
+   kernel returns. *)
 let verify_panel st i =
-  st.verifications <- st.verifications + 1;
-  (* Carried-vs-fresh [compare]; the fresh sums are recomputed here
-     (never taken from the kernel) because injected faults can land in
-     the panel after the kernel returns. *)
-  match Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i) with
-  | Abft.Verify.Clean -> ()
-  | Abft.Verify.Corrected fixes ->
-      Log.info (fun f ->
-          f "corrected %d element(s) in panel %d" (List.length fixes) i);
-      st.corrections <- st.corrections + List.length fixes
-  | Abft.Verify.Checksum_repaired { cells; corrections } ->
-      Log.info (fun f ->
-          f "repaired %d checksum cell(s) for panel %d (+%d tile fix(es))"
-            cells i (List.length corrections));
-      st.corrections <- st.corrections + List.length corrections
-  | Abft.Verify.Uncorrectable msg ->
-      raise (Recovery (Printf.sprintf "panel %d: %s" i msg))
+  Recovery.account st.tally ~block:(i, i)
+    (Panelchk.compare ~tol:st.tol (chk st i) st.panels.(i))
 
 (* In-panel MGS: factor panel j in place into Q columns, filling the
    corresponding diagonal block of R. Every step is linear in the panel
@@ -83,10 +70,7 @@ let mgs_panel st j ~with_ft =
     let v = Mat.col p col in
     let nrm = Vec.nrm2 v in
     if (not (Float.is_finite nrm)) || nrm < 1e-12 then
-      raise
-        (Recovery
-           (Printf.sprintf "fail-stop: rank deficiency at column %d of panel %d"
-              col j));
+      raise (Recovery.Error (Recovery.Fail_stop { iteration = j; column = col }));
     Mat.set st.r (base + col) (base + col) nrm;
     Vec.scal (1. /. nrm) v;
     Mat.set_col p col v;
@@ -168,9 +152,8 @@ let run_attempt st ~scheme =
 let final_verification st ~scheme =
   if scheme = Abft.Scheme.Offline && st.chks <> None then
     for i = 0 to st.nb - 1 do
-      st.verifications <- st.verifications + 1;
-      if not (Panelchk.check ~tol:st.tol (chk st i) st.panels.(i)) then
-        raise (Recovery (Printf.sprintf "final verify: panel %d" i))
+      Recovery.detect st.tally ~block:(i, i)
+        (Panelchk.check ~tol:st.tol (chk st i) st.panels.(i))
     done
 
 let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
@@ -186,8 +169,8 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
       (Printf.sprintf "Ft_qr.factor: block %d must divide n=%d" block n);
   let nb = n / block in
   let injector = Injector.create plan in
-  let uncorrectable_events = ref 0 and fail_stops = ref 0 in
-  let rec attempt k =
+  let tally = ref Recovery.zero in
+  let attempt () =
     let panels =
       Array.init nb (fun j ->
           Mat.sub a ~row:0 ~col:(j * block) ~rows:m ~cols:block)
@@ -196,45 +179,22 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
       if scheme = Abft.Scheme.No_ft then None
       else Some (Array.map Panelchk.encode panels)
     in
-    let st =
-      {
-        m;
-        block;
-        nb;
-        tol;
-        panels;
-        chks;
-        r = Mat.create n n;
-        injector;
-        verifications = 0;
-        corrections = 0;
-      }
-    in
-    match
-      run_attempt st ~scheme;
-      final_verification st ~scheme
-    with
-    | () -> (k, st, None)
-    | exception Recovery msg ->
-        Log.warn (fun f -> f "attempt %d failed (%s)" k msg);
-        incr uncorrectable_events;
-        if String.length msg >= 9 && String.sub msg 0 9 = "fail-stop" then
-          incr fail_stops;
-        if k < max_restarts then attempt (k + 1) else (k, st, Some msg)
+    { block; nb; tol; panels; chks; r = Mat.create n n; injector; tally }
   in
-  let restarts, st, failure = attempt 0 in
+  let run st ~from:_ =
+    run_attempt st ~scheme;
+    final_verification st ~scheme
+  in
+  let st, failure = Recovery.ladder tally ~max_restarts ~attempt ~run in
   let q = Mat.create m n in
   Array.iteri (fun j p -> Mat.blit ~src:p ~dst:q ~row:0 ~col:(j * st.block)) st.panels;
   let residual =
-    Mat.norm_fro
-      (Mat.sub_mat
-         (Blas3.gemm_alloc q st.r
-         [@abft.unverified
-           "residual check on the finished Q·R: runs after the scheme's own \
-            verification to second-guess it, so it must read the factors \
-            as-is"])
-         a)
-    /. Float.max 1. (Mat.norm_fro a)
+    Recovery.residual ~input:a
+      (Blas3.gemm_alloc q st.r
+      [@abft.unverified
+        "residual check on the finished Q·R: runs after the scheme's own \
+         verification to second-guess it, so it must read the factors \
+         as-is"])
   in
   let orthogonality =
     Mat.norm_fro
@@ -245,41 +205,23 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
             read as the residual"])
          (Mat.identity n))
   in
-  let outcome =
-    match failure with
-    | Some msg -> Gave_up msg
-    | None ->
-        if residual <= residual_threshold && orthogonality <= 1e-6 then Success
-        else Silent_corruption
-  in
   {
     q;
     r = st.r;
-    outcome;
+    (* a Q that lost orthogonality is as wrong as a bad residual *)
+    outcome =
+      Recovery.classify failure ~residual:(Float.max residual orthogonality);
     residual;
     orthogonality;
-    stats =
-      {
-        verifications = st.verifications;
-        corrections = st.corrections;
-        uncorrectable_events = !uncorrectable_events;
-        fail_stops = !fail_stops;
-        restarts;
-      };
+    stats = !tally;
     injections_fired = Injector.fired injector;
   }
 
-let pp_outcome fmt = function
-  | Success -> Format.pp_print_string fmt "success"
-  | Silent_corruption -> Format.pp_print_string fmt "silent corruption"
-  | Gave_up msg -> Format.fprintf fmt "gave up: %s" msg
+let pp_outcome = Recovery.pp_outcome
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "@[<v>outcome: %a@,residual: %.3e, orthogonality: %.3e@,verifications: \
-     %d, corrections: %d, restarts: %d, uncorrectable: %d, fail-stops: %d@,\
-     injections fired: %d@]"
-    pp_outcome r.outcome r.residual r.orthogonality r.stats.verifications
-    r.stats.corrections r.stats.restarts r.stats.uncorrectable_events
-    r.stats.fail_stops
+    "@[<v>outcome: %a@,residual: %.3e, orthogonality: %.3e@,%a@,injections \
+     fired: %d@]"
+    pp_outcome r.outcome r.residual r.orthogonality Recovery.pp_stats r.stats
     (List.length r.injections_fired)

@@ -36,15 +36,29 @@
 
 open Matrix
 
-type outcome = Success | Silent_corruption | Gave_up of string
+type outcome = Cholesky.Recovery.outcome =
+  | Success
+  | Silent_corruption
+  | Gave_up of Cholesky.Recovery.reason
+      (** structured, as for Cholesky: rank deficiency in the MGS panel
+          step is a [Fail_stop] (its [column] is the panel-local
+          column), a failed Offline final check a [Final_mismatch];
+          panel [i] is reported as block [(i, i)] *)
 
-type stats = {
+type stats = Cholesky.Recovery.stats = {
   verifications : int;
   corrections : int;
+  reconstructions : int;
+  checksum_repairs : int;
   uncorrectable_events : int;
-  fail_stops : int;  (** rank-deficiency detected in the MGS panel step *)
+  fail_stops : int;
+  rollbacks : int;
+  snapshots : int;
   restarts : int;
 }
+(** The Cholesky driver's counters ({!Cholesky.Recovery.stats}).
+    [fail_stops] counts rank-deficient panels; [rollbacks] and
+    [snapshots] stay 0 (this driver has no snapshot rung). *)
 
 type report = {
   q : Mat.t;  (** m×n, orthonormal columns *)
@@ -74,9 +88,12 @@ val factor :
     projection-input verifications; the panel about to be factored is
     always verified), [Offline] (detect-only final check of the Q
     panels).
+
+    Recovery is {!Cholesky.Recovery.ladder} without a rollback rung:
+    any {!Cholesky.Recovery.Error} discards the attempt and recomputes,
+    up to [max_restarts] times, then gives up with the last reason.
     @raise Invalid_argument unless [m >= n], [n > 0], [block >= 1] and
     [block] (clamped to [n]) divides [n]. *)
 
-val residual_threshold : float
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -427,6 +427,23 @@ let test_right_looking_corrects_computing_error () =
   expect_outcome "corrected at next read" "success" r;
   Alcotest.(check int) "no restart" 0 r.C.Ft.stats.C.Ft.restarts
 
+let test_right_looking_validation () =
+  Alcotest.(check bool) "non-multiple order" true
+    (try
+       ignore (C.Right_looking.factor ~block:7 (spd 48));
+       false
+     with Invalid_argument _ -> true);
+  (* a block below 1 is rejected up front, not by the grid arithmetic
+     it would break (n mod 0) or by the tile allocator *)
+  List.iter
+    (fun block ->
+      Alcotest.check_raises (Printf.sprintf "block %d" block)
+        (Invalid_argument
+           (Printf.sprintf "Right_looking.factor: block must be >= 1, got %d"
+              block))
+        (fun () -> ignore (C.Right_looking.factor ~block (spd 48))))
+    [ 0; -4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Trace equality: numeric mode vs timing mode                         *)
 (* ------------------------------------------------------------------ *)
@@ -1047,6 +1064,7 @@ let () =
             test_right_looking_corrects_trailing_storage_error;
           Alcotest.test_case "corrects computing error" `Quick
             test_right_looking_corrects_computing_error;
+          Alcotest.test_case "validation" `Quick test_right_looking_validation;
         ] );
       ( "trace",
         [

@@ -110,10 +110,10 @@ let test_every_scheme_ends_with_usable_factor_or_says_so () =
           match r.C.Ft.outcome with
           | C.Ft.Success ->
               Alcotest.(check bool) "residual small" true
-                (r.C.Ft.residual <= C.Ft.residual_threshold)
+                (r.C.Ft.residual <= C.Recovery.residual_threshold)
           | C.Ft.Silent_corruption ->
               Alcotest.(check bool) "residual large" true
-                (r.C.Ft.residual > C.Ft.residual_threshold)
+                (r.C.Ft.residual > C.Recovery.residual_threshold)
           | C.Ft.Gave_up _ -> ())
         [ 1; 2; 3; 4; 5 ])
     Abft.Scheme.all

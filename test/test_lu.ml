@@ -309,7 +309,19 @@ let test_ftlu_fail_stop_recovery () =
   in
   expect "offline fail-stops then recovers" "success" offline;
   Alcotest.(check bool) "fail-stop recorded" true
-    (offline.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.fail_stops > 0)
+    (offline.Ftlu.Ft_lu.stats.Ftlu.Ft_lu.fail_stops > 0);
+  (* with no restart left, the run gives up on the structured reason *)
+  let exhausted =
+    Ftlu.Ft_lu.factor ~plan:[ zero_pivot ] ~scheme:Abft.Scheme.Offline ~block:8
+      ~max_restarts:0 (dd 48)
+  in
+  match exhausted.Ftlu.Ft_lu.outcome with
+  | Ftlu.Ft_lu.Gave_up
+      (Cholesky.Recovery.Fail_stop { iteration = 3; column = 0 } as reason) ->
+      Alcotest.(check bool) "describe keeps the fail-stop prefix" true
+        (String.starts_with ~prefix:"fail-stop:"
+           (Cholesky.Recovery.describe reason))
+  | o -> Alcotest.failf "expected a fail-stop, got %a" Ftlu.Ft_lu.pp_outcome o
 
 let test_ftlu_k_gating () =
   let a = dd 64 in

@@ -193,12 +193,18 @@ let test_qr_rank_deficient_fail_stop () =
   let a = Spd.random ~seed:11 40 16 in
   (* make two columns identical: rank deficient *)
   Mat.set_col a 5 (Mat.col a 4);
-  let r = Ftqr.Ft_qr.factor ~scheme:Abft.Scheme.No_ft ~block:8 a in
+  let r =
+    Ftqr.Ft_qr.factor ~scheme:Abft.Scheme.No_ft ~block:8 ~max_restarts:0 a
+  in
   (match r.Ftqr.Ft_qr.outcome with
-  | Ftqr.Ft_qr.Gave_up _ -> ()
-  | o -> Alcotest.failf "expected gave up, got %a" Ftqr.Ft_qr.pp_outcome o);
-  Alcotest.(check bool) "fail-stop recorded" true
-    (r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.fail_stops > 0)
+  | Ftqr.Ft_qr.Gave_up
+      (Cholesky.Recovery.Fail_stop { iteration = 0; column = 5 } as reason) ->
+      Alcotest.(check bool) "describe keeps the fail-stop prefix" true
+        (String.starts_with ~prefix:"fail-stop:"
+           (Cholesky.Recovery.describe reason))
+  | o -> Alcotest.failf "expected a fail-stop, got %a" Ftqr.Ft_qr.pp_outcome o);
+  Alcotest.(check int) "fail-stop recorded" 1
+    r.Ftqr.Ft_qr.stats.Ftqr.Ft_qr.fail_stops
 
 let test_qr_validation () =
   Alcotest.(check bool) "wide rejected" true
