@@ -7,15 +7,15 @@ open Bench_util
 
 let enhanced = Abft.Scheme.enhanced ()
 
-let print_sweep title columns cell (machine : Hetsim.Machine.t) =
+let print_sweep title columns (machine : Hetsim.Machine.t) =
   header (Printf.sprintf "%s (%s)" title machine.Hetsim.Machine.name);
   Format.printf "%-8s" "n";
-  List.iter (fun c -> Format.printf "%16s" c) columns;
+  List.iter (fun (label, _) -> Format.printf "%16s" label) columns;
   Format.printf "@.";
   List.iter
     (fun n ->
       Format.printf "%-8d" n;
-      List.iteri (fun i _ -> Format.printf "%16s" (cell n i)) columns;
+      List.iter (fun (_, cell) -> Format.printf "%16s" (cell n)) columns;
       Format.printf "@.")
     (sizes machine)
 
@@ -26,13 +26,13 @@ let pct v = Printf.sprintf "%.2f%%" v
 let fig8_9 () =
   List.iter
     (fun ((machine : Hetsim.Machine.t), _) ->
-      let cell n i =
-        let opt1 = i = 1 in
+      let cell opt1 n =
         let r = run ~opt1 machine enhanced n in
         pct (overhead_pct ~opt1 machine n r.C.Schedule.makespan)
       in
       print_sweep "Figures 8/9 — Optimization 1 (concurrent recalculation)"
-        [ "before opt1"; "after opt1" ] cell machine)
+        [ ("before opt1", cell false); ("after opt1", cell true) ]
+        machine)
     machines;
   paper "saves ~2 points on tardis (weak Fermi concurrency), ~10 on bulldozer64 (Hyper-Q)"
 
@@ -42,13 +42,14 @@ let fig8_9 () =
 let fig10_11 () =
   List.iter
     (fun ((machine : Hetsim.Machine.t), _) ->
-      let cell n i =
-        let opt2 = if i = 0 then C.Config.Gpu_inline else C.Config.Auto in
+      let cell opt2 n =
         let r = run ~opt2 machine enhanced n in
         pct (overhead_pct ~opt2 machine n r.C.Schedule.makespan)
       in
       print_sweep "Figures 10/11 — Optimization 2 (checksum-update placement)"
-        [ "before opt2"; "after opt2" ] cell machine)
+        [ ("before opt2", cell C.Config.Gpu_inline);
+          ("after opt2", cell C.Config.Auto) ]
+        machine)
     machines;
   paper "saves ~5%% of the overhead on tardis (CPU), ~8%% on bulldozer64 (GPU stream)"
 
@@ -56,14 +57,15 @@ let fig10_11 () =
 let fig12_13 () =
   List.iter
     (fun ((machine : Hetsim.Machine.t), _) ->
-      let ks = [ 1; 3; 5 ] in
-      let cell n i =
-        let k = List.nth ks i in
-        let r = run machine (Abft.Scheme.enhanced ~k ()) n in
-        pct (overhead_pct machine n r.C.Schedule.makespan)
+      let column k =
+        ( Printf.sprintf "K=%d" k,
+          fun n ->
+            let r = run machine (Abft.Scheme.enhanced ~k ()) n in
+            pct (overhead_pct machine n r.C.Schedule.makespan) )
       in
       print_sweep "Figures 12/13 — Optimization 3 (verification interval K)"
-        [ "K=1"; "K=3"; "K=5" ] cell machine)
+        (List.map column [ 1; 3; 5 ])
+        machine)
     machines;
   paper "overhead drops significantly as K grows"
 
@@ -72,13 +74,17 @@ let fig12_13 () =
 let fig14_15 () =
   List.iter
     (fun ((machine : Hetsim.Machine.t), _) ->
-      let schemes = [ Abft.Scheme.Offline; Abft.Scheme.Online; enhanced ] in
-      let cell n i =
-        let r = run machine (List.nth schemes i) n in
+      let cell scheme n =
+        let r = run machine scheme n in
         pct (overhead_pct machine n r.C.Schedule.makespan)
       in
-      print_sweep "Figures 14/15 — overhead comparison" [ "offline"; "online"; "enhanced" ]
-        cell machine)
+      print_sweep "Figures 14/15 — overhead comparison"
+        [
+          ("offline", cell Abft.Scheme.Offline);
+          ("online", cell Abft.Scheme.Online);
+          ("enhanced", cell enhanced);
+        ]
+        machine)
     machines;
   paper "enhanced <6%% on tardis, <4%% on bulldozer64; slightly above offline/online; ~constant at large n"
 
@@ -87,19 +93,16 @@ let fig14_15 () =
 let fig16_17 () =
   List.iter
     (fun ((machine : Hetsim.Machine.t), _) ->
-      let cell n i =
-        let gf =
-          match i with
-          | 0 -> (run machine Abft.Scheme.No_ft n).C.Schedule.gflops
-          | 1 -> (C.Cula_model.run machine ~n).C.Cula_model.gflops
-          | 2 -> (run machine Abft.Scheme.Offline n).C.Schedule.gflops
-          | 3 -> (run machine Abft.Scheme.Online n).C.Schedule.gflops
-          | _ -> (run machine enhanced n).C.Schedule.gflops
-        in
-        Printf.sprintf "%.0f" gf
-      in
+      let gf g = Printf.sprintf "%.0f" g in
+      let cell scheme n = gf (run machine scheme n).C.Schedule.gflops in
       print_sweep "Figures 16/17 — performance (GFLOPS)"
-        [ "magma"; "cula"; "offline"; "online"; "enhanced" ]
-        cell machine)
+        [
+          ("magma", cell Abft.Scheme.No_ft);
+          ("cula", fun n -> gf (C.Cula_model.run machine ~n).C.Cula_model.gflops);
+          ("offline", cell Abft.Scheme.Offline);
+          ("online", cell Abft.Scheme.Online);
+          ("enhanced", cell enhanced);
+        ]
+        machine)
     machines;
   paper "MAGMA fastest; all three ABFT variants close behind; every ABFT variant beats CULA"

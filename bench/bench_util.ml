@@ -25,43 +25,16 @@ let machines =
 let current_experiment = ref ""
 let json_requested = ref false
 
-type json_row = {
-  experiment : string;
-  name : string;
-  size : int;
-  metrics : (string * float) list;
-}
-
-let rows : json_row list ref = ref []
-let rows_mutex = Mutex.create ()
+let rows : Obs.metrics_record list ref = ref []
 
 let record ~name ~size metrics =
-  if !json_requested then begin
-    Mutex.lock rows_mutex;
+  if !json_requested then
     rows :=
-      { experiment = !current_experiment; name; size; metrics } :: !rows;
-    Mutex.unlock rows_mutex
-  end
-
-(* Escaping/formatting and the sink document itself come from Obs —
-   the shared implementation also used by the soak report and the
-   engine's chrome-trace exporter. *)
-let json_escape = Obs.Json.escape
-let json_float = Obs.Json.number
+      { Obs.experiment = !current_experiment; name; size; metrics } :: !rows
 
 let write_json path =
   let oc = open_out path in
-  output_string oc
-    (Obs.metrics_json
-       (List.rev_map
-          (fun r ->
-            {
-              Obs.experiment = r.experiment;
-              name = r.name;
-              size = r.size;
-              metrics = r.metrics;
-            })
-          !rows));
+  output_string oc (Obs.metrics_json (List.rev !rows));
   close_out oc
 
 (* The bench process's observability sink: Obs.null unless the user
@@ -103,19 +76,14 @@ let baseline_tbl
 
 let baseline ?(opt1 = true) ?(opt2 = C.Config.Auto) ?(block = 0) machine n =
   let key = (machine, n, opt1, opt2, block) in
-  Mutex.lock rows_mutex;
-  let hit = Hashtbl.find_opt baseline_tbl key in
-  Mutex.unlock rows_mutex;
-  match hit with
+  match Hashtbl.find_opt baseline_tbl key with
   | Some t -> t
   | None ->
       let t =
         (run ~opt1 ~opt2 ~block machine Abft.Scheme.No_ft n)
           .C.Schedule.makespan
       in
-      Mutex.lock rows_mutex;
       Hashtbl.replace baseline_tbl key t;
-      Mutex.unlock rows_mutex;
       t
 
 let overhead_pct ?opt1 ?opt2 ?block machine n makespan =

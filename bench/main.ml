@@ -1,12 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section on the simulated testbeds, then runs Bechamel
-   microbenches of the real numeric kernels.
+   evaluation section on the simulated testbeds, then the extension
+   experiments and the protected-PCG overhead on the real kernels.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --only fig14_15 table7
      dune exec bench/main.exe -- --json out.json --only table7
      dune exec bench/main.exe -- --list
-*)
+
+   The output of every virtual-time experiment is pinned byte for byte
+   by test/fixtures/paper_tables.txt, which `dune runtest` diffs. *)
+
+open Cmdliner
 
 let experiments =
   [
@@ -29,19 +33,12 @@ let experiments =
      Bench_lu.run);
     ("hardware", "Hardware — modern GPU + parameter sensitivity",
      Bench_hardware.run);
-    ("parallel", "Parallel kernels — domain-pool BLAS-3 + batched verification",
-     Bench_parallel.run);
     ("resilience", "Resilience — device-fault overhead of the failure-aware \
                     scheduler", Bench_resilience.run);
     ("balance", "Balance — static vs adaptive CPU/GPU split under the GPU \
                  storm", Bench_balance.run);
-    ("throughput", "Throughput — serving layer offered-load sweep + fault \
-                    storm", Bench_throughput.run);
     ("solver", "Solver — protected PCG overhead vs unprotected CG",
      Bench_solver.run);
-    ("micro", "Bechamel microbenches (real kernels)", Bench_micro.run);
-    ("fused", "Fused vs separate ABFT pipelines (real kernels)",
-     Bench_micro.run_fused);
   ]
 
 let run_experiment (id, _, f) =
@@ -51,103 +48,26 @@ let run_experiment (id, _, f) =
   Obs.span !Bench_util.obs ~op:id ~phase:"experiment" f;
   Bench_util.current_experiment := ""
 
-let usage () =
-  Format.eprintf
-    "usage: main.exe [--json <path>] [--trace-out <path>] [--metrics-out \
-     <path>] [--device-faults <rate>] [--fused-sizes <n,n,...>] [--list | \
-     --only <id>...]@.";
-  exit 1
+let write path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Format.printf "@.wrote %s@." path
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* Peel off `--json <path>` / `--device-faults <rate>` wherever they
-     appear. *)
-  let json_path = ref None in
-  let trace_path = ref None in
-  let metrics_path = ref None in
-  let rec strip = function
-    | "--json" :: path :: rest ->
-        json_path := Some path;
-        strip rest
-    | [ "--json" ] -> usage ()
-    | "--trace-out" :: path :: rest ->
-        trace_path := Some path;
-        strip rest
-    | [ "--trace-out" ] -> usage ()
-    | "--metrics-out" :: path :: rest ->
-        metrics_path := Some path;
-        strip rest
-    | [ "--metrics-out" ] -> usage ()
-    | "--device-faults" :: rate :: rest -> (
-        match float_of_string_opt rate with
-        | Some r when r >= 0. && r <= 1. ->
-            (* probe one storm intensity in the resilience experiment *)
-            Bench_resilience.rates := [ r ];
-            strip rest
-        | Some _ | None ->
-            Format.eprintf "--device-faults: rate must be a float in [0,1]@.";
-            exit 1)
-    | [ "--device-faults" ] -> usage ()
-    | "--fused-sizes" :: spec :: rest -> (
-        match
-          String.split_on_char ',' spec
-          |> List.map (fun s -> int_of_string_opt (String.trim s))
-        with
-        | sizes when sizes <> [] && List.for_all (function
-            | Some n -> n > 0
-            | None -> false) sizes ->
-            Bench_micro.fused_sizes :=
-              List.filter_map (fun x -> x) sizes;
-            strip rest
-        | _ ->
-            Format.eprintf
-              "--fused-sizes: comma-separated positive ints, e.g. 256,1024@.";
-            exit 1)
-    | [ "--fused-sizes" ] -> usage ()
-    | a :: rest -> a :: strip rest
-    | [] -> []
-  in
-  let args = strip args in
-  Bench_util.json_requested := !json_path <> None;
-  if !trace_path <> None || !metrics_path <> None then
+let run es ~json ~trace_out ~metrics_out =
+  Bench_util.json_requested := json <> None;
+  if trace_out <> None || metrics_out <> None then
     Bench_util.obs := Obs.create ();
-  (match args with
-  | [ "--list" ] ->
-      List.iter (fun (id, desc, _) -> Format.printf "%-10s %s@." id desc) experiments
-  | "--only" :: ids when ids <> [] ->
-      List.iter
-        (fun id ->
-          match List.find_opt (fun (i, _, _) -> i = id) experiments with
-          | Some e -> run_experiment e
-          | None ->
-              Format.eprintf "unknown experiment %S (try --list)@." id;
-              exit 1)
-        ids
-  | [] ->
-      Format.printf
-        "Reproducing the evaluation of 'Online Algorithm-Based Fault \
-         Tolerance for Cholesky Decomposition on Heterogeneous Systems with \
-         GPUs' (IPDPS'16).@.All times are virtual (discrete-event simulation \
-         of the paper's testbeds) except the 'parallel' and 'micro' \
-         sections.@.";
-      List.iter run_experiment experiments
-  | _ -> usage ());
-  (match !json_path with
-  | Some path ->
+  List.iter run_experiment es;
+  Option.iter
+    (fun path ->
       Bench_util.write_json path;
-      Format.printf "@.wrote %s@." path
-  | None -> ());
-  (match !trace_path with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Obs.chrome_trace !Bench_util.obs);
-      close_out oc;
-      Format.printf "@.wrote %s@." path
-  | None -> ());
-  match !metrics_path with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc
+      Format.printf "@.wrote %s@." path)
+    json;
+  Option.iter (fun path -> write path (Obs.chrome_trace !Bench_util.obs)) trace_out;
+  Option.iter
+    (fun path ->
+      write path
         (Obs.metrics_json
            [
              {
@@ -156,7 +76,78 @@ let () =
                size = 0;
                metrics = Obs.metric_list !Bench_util.obs;
              };
-           ]);
-      close_out oc;
-      Format.printf "wrote %s@." path
-  | None -> ()
+           ]))
+    metrics_out
+
+let main list only selected json trace_out metrics_out device_faults =
+  Option.iter (fun r -> Bench_resilience.rates := [ r ]) device_faults;
+  let run es = `Ok (run es ~json ~trace_out ~metrics_out) in
+  match (list, only, selected) with
+  | true, false, [] ->
+      List.iter
+        (fun (id, desc, _) -> Format.printf "%-10s %s@." id desc)
+        experiments;
+      `Ok ()
+  | false, true, _ :: _ -> run selected
+  | false, false, [] ->
+      Format.printf
+        "Reproducing the evaluation of 'Online Algorithm-Based Fault \
+         Tolerance for Cholesky Decomposition on Heterogeneous Systems with \
+         GPUs' (IPDPS'16).@.All times are virtual (discrete-event simulation \
+         of the paper's testbeds) except the 'solver' section.@.";
+      run experiments
+  | _ -> `Error (true, "give --list, --only ID..., or no arguments")
+
+let list_arg =
+  Arg.(value & flag & info [ "list" ] ~doc:"List the experiment IDs and exit.")
+
+let only_arg =
+  Arg.(
+    value & flag
+    & info [ "only" ]
+        ~doc:"Run only the experiments named by the $(i,ID) arguments.")
+
+(* Parsed as an enum, so an unknown ID is a usage error before any
+   experiment runs. *)
+let ids_arg =
+  let ids = List.map (fun ((id, _, _) as e) -> (id, e)) experiments in
+  Arg.(value & pos_all (enum ids) [] & info [] ~docv:"ID")
+
+let path_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
+
+let json_arg = path_arg "json" "Write every recorded result row to $(docv) as JSON."
+
+let trace_out_arg =
+  path_arg "trace-out"
+    "Write a Chrome trace with one span per experiment to $(docv)."
+
+let metrics_out_arg =
+  path_arg "metrics-out" "Write the per-experiment span totals to $(docv) as JSON."
+
+let device_faults_arg =
+  let rate =
+    Arg.conv
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some r when r >= 0. && r <= 1. -> Ok r
+          | _ -> Error (`Msg "rate must be a float in [0,1]")),
+        Format.pp_print_float )
+  in
+  Arg.(
+    value
+    & opt (some rate) None
+    & info [ "device-faults" ] ~docv:"RATE"
+        ~doc:
+          "Probe only this GPU storm intensity in the $(b,resilience) \
+           experiment instead of its sweep.")
+
+let () =
+  let term =
+    Term.(
+      ret
+        (const main $ list_arg $ only_arg $ ids_arg $ json_arg $ trace_out_arg
+       $ metrics_out_arg $ device_faults_arg))
+  in
+  let doc = "reproduce the paper's tables and figures" in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc) term))

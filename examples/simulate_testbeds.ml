@@ -1,6 +1,8 @@
 (* Timing-mode demo: simulate the paper's two testbeds at paper scale
    and print the per-phase time decomposition for each scheme —
-   a compact preview of what bench/main.exe reproduces in full. Run:
+   a compact preview of the tables and figures bench/main.exe
+   reproduces in full (its output is pinned in
+   test/fixtures/paper_tables.txt). Run:
 
      dune exec examples/simulate_testbeds.exe
 *)

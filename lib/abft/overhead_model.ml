@@ -34,16 +34,3 @@ let transfer_words_update { n; _ } = f n ** 2. /. 2.
 
 let transfer_words_verify_enhanced { n; b; k } =
   f n ** 3. /. (3. *. f k *. (f b ** 2.))
-
-(* --- fused-kernel carry (PR 6) ------------------------------------- *)
-
-let update_words_separate { n; b; _ } =
-  (f n ** 3. /. (3. *. f b)) +. (f n ** 2. /. 2.)
-
-let update_words_fused { n; _ } = f n ** 2. /. 2.
-
-let update_traffic_ratio p = update_words_fused p /. update_words_separate p
-
-let gemm_carry_relative ?(d = 2) ?(replicas = 2) ?(pass_penalty = 1.) ~m () =
-  if m <= 0 then invalid_arg "Overhead_model.gemm_carry_relative: m <= 0";
-  pass_penalty *. f (replicas * d) /. f m

@@ -65,36 +65,3 @@ val transfer_words_update : params -> float
 
 val transfer_words_verify_enhanced : params -> float
 (** [n³/(3KB²)] *)
-
-(** {1 Fused-kernel carry}
-
-    The checksum-updating flops are identical whether the chains ride
-    the BLAS-3 kernels ({!Matrix.Blas3.fuse}) or run as separate
-    skinny passes — what fusion removes is {e memory traffic}: the
-    separate passes re-read each trailing tile's B×B operand that the
-    fused kernel already holds packed in cache. These closed forms
-    quantify that, in 64-bit words over a whole n×n factorization and
-    per-kernel relative flops. *)
-
-val update_words_separate : params -> float
-(** Words moved by separate-pass checksum updating:
-    [n³/(3B) + n²/2] — one B² operand re-read per checksum GEMM per
-    replica across the [n³/(6B³)] trailing tile updates, plus the
-    d×B chain rows themselves (d = 2). *)
-
-val update_words_fused : params -> float
-(** [n²/2] — fused updating touches only the chain rows; the operand
-    panels are already packed for the tile kernel. *)
-
-val update_traffic_ratio : params -> float
-(** [update_words_fused / update_words_separate] — tends to [3B/(2n)]
-    ≪ 1 for n ≫ B: the predicted traffic saving of fusion. *)
-
-val gemm_carry_relative :
-  ?d:int -> ?replicas:int -> ?pass_penalty:float -> m:int -> unit -> float
-(** Extra flops of carrying [d]-row chains for [replicas] replicas
-    through one m×k·k×n GEMM, relative to the tile's [2mkn]:
-    [π·R·d/m] (the inner dimension cancels). [pass_penalty] π ≥ 1
-    models the bandwidth-bound slowdown of running the same flops as
-    standalone d-row passes; the default [π = 1] is the fused (in-cache)
-    case. @raise Invalid_argument if [m <= 0]. *)

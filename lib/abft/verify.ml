@@ -377,12 +377,6 @@ let run_batch ?pool one jobs =
     done;
   out
 
-let verify_batch ?pool ?(tol = default_tol) jobs =
-  run_batch ?pool (fun chk tile -> verify ~tol chk tile) jobs
-
-(* The fused counterpart of [verify_batch]: same fan-out, each task
-   running the cheap carried-vs-fresh [compare] instead of a full
-   re-reduce-and-locate pass. *)
 let compare_batch ?pool ?(tol = default_tol) jobs =
   run_batch ?pool (fun chk tile -> compare ~tol chk tile) jobs
 

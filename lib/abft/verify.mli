@@ -104,26 +104,15 @@ val check : ?pool:Parallel.Pool.t -> ?tol:float -> Checksum.t -> Mat.t -> bool
     match a fresh recalculation within tolerance. Neither the tile nor
     the checksum is modified (no healing). *)
 
-val verify_batch :
-  ?pool:Parallel.Pool.t ->
-  ?tol:float ->
-  (Checksum.t * Mat.t) array ->
-  outcome array
-(** [verify_batch jobs] runs {!verify} on every (checksum, tile) pair
-    and returns the outcomes in order. Independent tiles fan out
-    across the pool (default {!Parallel.Pool.default}) exactly like
-    the paper's N-stream concurrent checksum recalculation
-    (Optimization 1); corrections are applied in place per tile, and
-    results are identical to a sequential sweep for every pool
-    size. *)
-
 val compare_batch :
   ?pool:Parallel.Pool.t ->
   ?tol:float ->
   (Checksum.t * Mat.t) array ->
   outcome array
-(** {!compare} over a batch with the same pool fan-out as
-    {!verify_batch} — the verification step of a fully fused
-    iteration. *)
+(** {!compare} over a batch: independent tiles fan out across the
+    pool (default {!Parallel.Pool.default}) like the paper's N-stream
+    concurrent checksum recalculation (Optimization 1), with outcomes
+    identical to a sequential sweep for every pool size — the
+    verification step of a fully fused iteration. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

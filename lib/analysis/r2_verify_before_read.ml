@@ -6,8 +6,8 @@
    that consumes blocks — [Blas3.gemm]/[gemm_alloc]/[syrk]/[trsm]/
    [trmm]/[symm] — must be dominated, within the same top-level
    function, by a verification call: anything whose name starts with
-   [verify] ([Verify.verify], [verify_blocks], [verify_panel],
-   [Verify.verify_batch], ...) or [Verify.check]/[Panelchk.check].
+   [verify] ([Verify.verify], [verify_blocks], [verify_panel], ...) or
+   [Verify.check]/[Panelchk.check].
 
    Dominance is approximated syntactically: some verification call must
    occur at an earlier source position inside the same top-level [let].

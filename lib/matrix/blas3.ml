@@ -53,9 +53,8 @@ let scale_in_place beta c =
 (* ------------------------------------------------------------------ *)
 (* Seed reference kernels (naive triple loops).                        *)
 (*                                                                     *)
-(* Kept verbatim: they are the fallback for tiny operands, the         *)
-(* reference the tiled kernels are property-tested against, and the    *)
-(* baseline bench_parallel reports speedups over.                      *)
+(* Kept verbatim: they are the fallback for tiny operands and the     *)
+(* reference the tiled kernels are property-tested against.            *)
 (* ------------------------------------------------------------------ *)
 
 let gemm_naive ?(transa = No_trans) ?(transb = No_trans) ?(alpha = 1.)
@@ -289,36 +288,6 @@ let chk_reduce ~weights c ~into =
       (Mat.rows weights) d m n (Mat.rows into) (Mat.cols into);
   fresh_reduce c.Mat.data ~m ~fresh:(Some (into.Mat.data, weights.Mat.data, d))
     0 n
-
-(* Same reduction over a symmetric matrix stored in one triangle:
-   mirrored reads for the unstored half, still ascending-i per column.
-   This is the verify-side companion of a fused [syrk], whose output
-   never materializes the opposite triangle. *)
-let chk_reduce_sym uplo ~weights c ~into =
-  let n = Mat.rows c in
-  let d = Mat.cols weights in
-  if
-    Mat.cols c <> n || Mat.rows weights <> n || Mat.rows into <> d
-    || Mat.cols into <> n
-  then
-    Mat.dim_error "chk_reduce_sym" "weights=%dx%d c=%dx%d into=%dx%d"
-      (Mat.rows weights) d n (Mat.cols c) (Mat.rows into) (Mat.cols into);
-  let cd = c.Mat.data and wd = weights.Mat.data and fd = into.Mat.data in
-  let get =
-    match uplo with
-    | Lower -> fun i j -> if i >= j then cd.((j * n) + i) else cd.((i * n) + j)
-    | Upper -> fun i j -> if i <= j then cd.((j * n) + i) else cd.((i * n) + j)
-  in
-  for j = 0 to n - 1 do
-    for r = 0 to d - 1 do
-      let wof = r * n in
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. (wd.(wof + i) *. get i j)
-      done;
-      fd.((j * d) + r) <- !acc
-    done
-  done
 
 (* Validate a [fuse] against the call's op(a)=m×k, c=m×n shapes, fold
    [beta] into the carried chains (they scale exactly as c does), and
@@ -597,8 +566,8 @@ let syrk ?pool ?(trans = No_trans) ?(alpha = 1.) ?(beta = 0.) ?fused uplo a c =
   | Some { f_fresh = Some _; _ } ->
       (* c only materializes one triangle, so the fresh reduction must
          mirror-read it — a cross-panel access the column-parallel
-         kernel cannot do race-free. Callers use chk_reduce_sym. *)
-      invalid_arg "Blas3.syrk: f_fresh unsupported; reduce with chk_reduce_sym"
+         kernel cannot do race-free. *)
+      invalid_arg "Blas3.syrk: f_fresh unsupported"
   | _ -> ());
   let chains, _ = prep_fuse "syrk" ~beta ~m:n ~k ~n fused in
   (* The carried chains track the full symmetric product (chk_c +=

@@ -66,11 +66,6 @@ val chk_reduce : weights:Mat.t -> Mat.t -> into:Mat.t -> unit
     verification-side reduction, bitwise identical to the in-kernel
     [f_fresh] epilogue and to [gemm_alloc ~transa:Trans weights c]. *)
 
-val chk_reduce_sym : uplo -> weights:Mat.t -> Mat.t -> into:Mat.t -> unit
-(** Same reduction over a symmetric matrix stored in one triangle
-    (mirror-reads the unstored half): the verify-side companion of a
-    fused [syrk]. *)
-
 val gemm :
   ?pool:Parallel.Pool.t ->
   ?transa:trans ->
@@ -119,8 +114,7 @@ val syrk :
     [uplo] triangle of [c]. Defaults: [No_trans], [alpha = 1.],
     [beta = 0.]. With [~fused], the carried chains track the full
     symmetric product (every column), like the separate-pass
-    [Abft.Update.syrk] rule; [f_fresh] is rejected — reduce the
-    triangle afterwards with {!chk_reduce_sym}. *)
+    [Abft.Update.syrk] rule; [f_fresh] is rejected. *)
 
 val trsm :
   ?pool:Parallel.Pool.t ->
@@ -168,9 +162,8 @@ val symm :
 (** {1 Seed reference kernels}
 
     The original naive triple-loop implementations, kept as the
-    fallback for tiny operands, as the property-test reference for the
-    tiled kernels, and as the baseline [bench_parallel] measures
-    speedups against. *)
+    fallback for tiny operands and as the property-test reference for
+    the tiled kernels. *)
 
 val gemm_naive :
   ?transa:trans ->

@@ -511,33 +511,6 @@ let test_model_space () =
   check_float "bytes" (8. *. 2. *. (20480. ** 2.) /. 256.)
     (Overhead_model.space_bytes p)
 
-let test_model_fused_traffic () =
-  let sep = Overhead_model.update_words_separate p in
-  let fus = Overhead_model.update_words_fused p in
-  check_float "fused words n^2/2" (20480. ** 2. /. 2.) fus;
-  Alcotest.(check bool) "fused moves fewer words" true (fus < sep);
-  let ratio = Overhead_model.update_traffic_ratio p in
-  Alcotest.(check bool) "ratio in (0,1)" true (ratio > 0. && ratio < 1.);
-  (* For n >> B the ratio tends to 3B/(2n). *)
-  let asymptote = 3. *. 256. /. (2. *. 20480.) in
-  Alcotest.(check bool) "near 3B/(2n)" true
-    (abs_float (ratio -. asymptote) /. asymptote < 0.05)
-
-let test_model_gemm_carry () =
-  (* π·R·d/m with defaults d=2, R=2, π=1 (the fused, in-cache case). *)
-  let fused = Overhead_model.gemm_carry_relative ~m:256 () in
-  check_float "R d / m" (4. /. 256.) fused;
-  let separate =
-    Overhead_model.gemm_carry_relative ~pass_penalty:4. ~m:256 ()
-  in
-  Alcotest.(check bool) "pass penalty raises the separate cost" true
-    (separate > fused);
-  Alcotest.(check bool) "m validation" true
-    (try
-       ignore (Overhead_model.gemm_carry_relative ~m:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Placement model (Optimization 2)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -783,8 +756,6 @@ let () =
             test_model_k_decreases_overhead;
           Alcotest.test_case "asymptotes" `Quick test_model_asymptotes;
           Alcotest.test_case "space" `Quick test_model_space;
-          Alcotest.test_case "fused traffic" `Quick test_model_fused_traffic;
-          Alcotest.test_case "gemm carry" `Quick test_model_gemm_carry;
         ] );
       ( "placement",
         [

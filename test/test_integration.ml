@@ -144,6 +144,57 @@ let test_overhead_decreases_with_n () =
   in
   Alcotest.(check bool) "above asymptote" true (o3 > asym)
 
+(* Tables VII/VIII at paper scale: which scheme pays a full rerun for
+   which error type. Faults sit at the paper's logical points, as in the
+   bench's capability tables: a computing error in a mid-run GEMM
+   output, and a storage error in a factored block between its
+   post-update verification and its next read. Enhanced absorbs both
+   inline, Online misses only the storage error, Offline reruns on
+   either. This is the claim the pinned paper-table fixture must not
+   be regenerated past. *)
+let test_capability_matrix_paper_scale () =
+  List.iter
+    (fun ((machine : Hetsim.Machine.t), n) ->
+      let b = machine.Hetsim.Machine.default_block in
+      let mid = n / b / 2 in
+      let computing =
+        [
+          Fault.computing_error ~iteration:mid ~op:Fault.Gemm
+            ~block:(mid + 2, mid) ~element:(1, 1) ();
+        ]
+      in
+      let storage =
+        [
+          Fault.storage_error ~iteration:(mid + 1) ~block:(mid + 2, 1)
+            ~element:(2, 2) ();
+        ]
+      in
+      let flat = (0.98, 1.02) and doubled = (1.8, 2.3) in
+      List.iter
+        (fun (scheme, on_computing, on_storage) ->
+          let t plan =
+            (C.Schedule.run ?plan (C.Config.make ~machine ~scheme ()) ~n)
+              .C.Schedule.makespan
+          in
+          let clean = t None in
+          let check what (lo, hi) plan =
+            let ratio = t (Some plan) /. clean in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s %s: x%.3f in [%.2f, %.2f]"
+                 machine.Hetsim.Machine.name (Abft.Scheme.name scheme) what
+                 ratio lo hi)
+              true
+              (ratio >= lo && ratio <= hi)
+          in
+          check "computing" on_computing computing;
+          check "storage" on_storage storage)
+        [
+          (Abft.Scheme.enhanced (), flat, flat);
+          (Abft.Scheme.Online, flat, doubled);
+          (Abft.Scheme.Offline, doubled, doubled);
+        ])
+    [ (Hetsim.Machine.tardis, 20480); (Hetsim.Machine.bulldozer64, 30720) ]
+
 let test_gflops_increase_with_n () =
   let machine = Hetsim.Machine.bulldozer64 in
   let gf n =
@@ -238,6 +289,8 @@ let () =
             test_chrome_trace_wellformed;
           Alcotest.test_case "deterministic" `Quick
             test_simulated_times_deterministic;
+          Alcotest.test_case "capability matrix (Tables VII/VIII)" `Quick
+            test_capability_matrix_paper_scale;
         ] );
       ( "workloads",
         [

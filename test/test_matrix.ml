@@ -627,34 +627,6 @@ let test_fused_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_chk_reduce_sym_mirrors () =
-  (* reducing the one stored triangle with mirrored reads must be
-     bitwise the same as reducing the fully materialized symmetric
-     matrix *)
-  let n = 33 in
-  let full =
-    let m = rmat 80 n n in
-    Mat.init n n (fun i j -> if i >= j then Mat.get m i j else Mat.get m j i)
-  in
-  let weights = vander n 2 in
-  let want = Mat.create 2 n in
-  Blas3.chk_reduce ~weights full ~into:want;
-  List.iter
-    (fun (uplo, keep) ->
-      let half =
-        Mat.init n n (fun i j ->
-            if keep i j then Mat.get full i j else Float.nan)
-      in
-      let got = Mat.create 2 n in
-      Blas3.chk_reduce_sym uplo ~weights half ~into:got;
-      bits_equal
-        (match uplo with Types.Lower -> "lower" | Types.Upper -> "upper")
-        want got)
-    [
-      (Types.Lower, fun i j -> i >= j);
-      (Types.Upper, fun i j -> i <= j);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Lapack                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -1150,8 +1122,6 @@ let () =
           Alcotest.test_case "trsm = separate (bitwise)" `Quick
             test_fused_trsm_matches_separate;
           Alcotest.test_case "validation" `Quick test_fused_validation;
-          Alcotest.test_case "chk_reduce_sym mirrors" `Quick
-            test_chk_reduce_sym_mirrors;
         ] );
       ( "lapack",
         [

@@ -189,7 +189,7 @@ let test_ft_factor_pool_invariant () =
   Pool.shutdown p1;
   Pool.shutdown p4
 
-let test_verify_batch_matches_sequential () =
+let test_compare_batch_matches_sequential () =
   let n = 64 in
   let a = Spd.random_spd ~seed:7 n in
   let tiles = Tile.of_mat ~block:16 a in
@@ -209,8 +209,8 @@ let test_verify_batch_matches_sequential () =
   Mat.set t2 1 1 (Mat.get t2 1 1 -. 50.);
   let seq_jobs = Array.map (fun (c, t) -> (c, Mat.copy t)) jobs in
   let p = Pool.create ~domains:4 () in
-  let batch = Abft.Verify.verify_batch ~pool:p jobs in
-  let seq = Array.map (fun (c, t) -> Abft.Verify.verify c t) seq_jobs in
+  let batch = Abft.Verify.compare_batch ~pool:p jobs in
+  let seq = Array.map (fun (c, t) -> Abft.Verify.compare c t) seq_jobs in
   Alcotest.(check int) "same length" (Array.length seq) (Array.length batch);
   Array.iteri
     (fun k o ->
@@ -408,8 +408,8 @@ let () =
         [
           Alcotest.test_case "ft factor pool-size invariant" `Quick
             test_ft_factor_pool_invariant;
-          Alcotest.test_case "verify_batch = sequential verify" `Quick
-            test_verify_batch_matches_sequential;
+          Alcotest.test_case "compare_batch = sequential compare" `Quick
+            test_compare_batch_matches_sequential;
         ] );
       ( "racecheck",
         [
