@@ -18,8 +18,8 @@ let machines =
 (* Machine-readable results (`--json out.json`)                        *)
 (*                                                                     *)
 (* Every simulated run that goes through [run] (and anything a bench   *)
-(* reports explicitly via [record]) accumulates one row; [write_json]  *)
-(* dumps them at exit. Schema documented in EXPERIMENTS.md.            *)
+(* reports explicitly via [record]) accumulates one row; [json]        *)
+(* renders them at exit. Schema documented in EXPERIMENTS.md.          *)
 (* ------------------------------------------------------------------ *)
 
 let current_experiment = ref ""
@@ -32,10 +32,7 @@ let record ~name ~size metrics =
     rows :=
       { Obs.experiment = !current_experiment; name; size; metrics } :: !rows
 
-let write_json path =
-  let oc = open_out path in
-  output_string oc (Obs.metrics_json (List.rev !rows));
-  close_out oc
+let json () = Obs.metrics_json (List.rev !rows)
 
 (* The bench process's observability sink: Obs.null unless the user
    passed --trace-out/--metrics-out, in which case main.ml swaps in a

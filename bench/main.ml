@@ -59,11 +59,7 @@ let run es ~json ~trace_out ~metrics_out =
   if trace_out <> None || metrics_out <> None then
     Bench_util.obs := Obs.create ();
   List.iter run_experiment es;
-  Option.iter
-    (fun path ->
-      Bench_util.write_json path;
-      Format.printf "@.wrote %s@." path)
-    json;
+  Option.iter (fun path -> write path (Bench_util.json ())) json;
   Option.iter (fun path -> write path (Obs.chrome_trace !Bench_util.obs)) trace_out;
   Option.iter
     (fun path ->
