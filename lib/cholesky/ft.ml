@@ -330,16 +330,23 @@ let final_verification st ~sweep =
         else compare_blocks ~final:true st store blocks_arr
   end
 
-let lower_of_tiles tiles = Mat.tril (Tile.to_mat tiles)
-
 let residual_of ~input l =
-  let recon =
-    (Blas3.gemm_alloc ~transb:Types.Trans l l
-    [@abft.unverified
-      "residual check on the finished factor: it runs after the scheme's own \
-       verification and exists to second-guess it, so it must read L as-is"])
-  in
-  Recovery.residual ~input recon
+  Recovery.residual ~input
+    ~apply:(fun v ->
+      let w = Mat.copy v in
+      (Blas3.trmm Types.Left Types.Lower Types.Trans Types.Non_unit_diag l w
+      [@abft.unverified
+        "residual probe of the finished factor: it runs after the scheme's \
+         own verification and exists to second-guess it, so it must read L \
+         as-is"]);
+      (Blas3.trmm Types.Left Types.Lower Types.No_trans Types.Non_unit_diag l w
+      [@abft.unverified "second half of the same residual probe of L"]);
+      w)
+    ~product:(fun () ->
+      Blas3.gemm_alloc ~transb:Types.Trans l l
+      [@abft.unverified
+        "dense confirmation of a residual the probe could not clear: the \
+         same post-verification read of L as the probe"])
 
 (* The graduated recovery ladder, cheapest rung first:
 
@@ -455,7 +462,7 @@ let factor ?pool ?(obs = Obs.null) ?(plan = []) ?(final_sweep = false)
       in
       let l, residual =
         Obs.span obs ~op:"residual" ~phase:"check" (fun () ->
-            let l = lower_of_tiles st.tiles in
+            let l = Tile.to_lower st.tiles in
             (l, residual_of ~input:a l))
       in
       let stats = !tally in

@@ -64,7 +64,11 @@ type stats = Recovery.stats = {
 type report = {
   factor : Mat.t;  (** lower-triangular result (last attempt's) *)
   outcome : outcome;
-  residual : float;  (** ‖L·Lᵀ − A‖_F / ‖A‖_F against the pristine input *)
+  residual : float;
+      (** end-of-run check against the pristine input, {!residual_of}:
+          the probe estimate of ‖L·Lᵀ − A‖ when it is far under
+          {!Recovery.residual_threshold}, else the exact
+          ‖L·Lᵀ − A‖_F / max(1, ‖A‖_F) *)
   stats : stats;
   injections_fired : Injector.fired list;
   trace : Trace_op.t list;  (** logical trace of the {e last} attempt *)
@@ -125,6 +129,11 @@ val factor :
     bitwise identical to an uninstrumented run.
     @raise Invalid_argument if [a] is not square, its order is not a
     positive multiple of the block size, or the config is invalid. *)
+
+val residual_of : input:Mat.t -> Mat.t -> float
+(** [residual_of ~input l] is {!Recovery.residual} for a finished lower
+    factor [l]: the probes apply L·(Lᵀ·V) by two triangular products,
+    and only a run the screen cannot clear forms the dense L·Lᵀ. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

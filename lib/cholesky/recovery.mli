@@ -10,7 +10,8 @@
       ({!account}, {!detect});
     - the recovery {!ladder}: attempt, optional rollback, restart, give
       up;
-    - the residual-based {!classify} of a finished run.
+    - the end-of-run check of the finished factors ({!residual},
+      {!orthogonality}) and the {!classify} of a finished run.
 
     Every event that makes an attempt unrecoverable in place is one of
     the {!reason} constructors — the ladder dispatches on the
@@ -112,9 +113,31 @@ val residual_threshold : float
 (** Residual above which a completed run is classified
     {!Silent_corruption} ([1e-6]). *)
 
-val residual : input:Mat.t -> Mat.t -> float
-(** [residual ~input p] is ‖p − input‖_F / max(1, ‖input‖_F), where [p]
-    is the product of the finished factors. *)
+val residual :
+  input:Mat.t -> apply:(Mat.t -> Mat.t) -> product:(unit -> Mat.t) -> float
+(** The end-of-run check of finished factors F against [input] = A, in
+    two stages.
+
+    - {b Screen}, O(n²): a Freivalds estimate ‖A·V − F(V)‖_F / ‖A·V‖_F
+      over three seeded probe columns V (n×3), where [apply v] returns
+      F(v) as a fresh matrix — L·(Lᵀ·v), L·(U·v) or Q·(R·v). When the
+      estimate is at most [residual_threshold / 1000] it is the result.
+    - {b Confirm}, O(n³): otherwise (a NaN estimate included)
+      [product ()] builds the dense F and the result is the exact
+      ‖F − A‖_F / max(1, ‖A‖_F).
+
+    So a clean run reports the probe estimate, and any run near or
+    above {!residual_threshold} reports the exact dense residual:
+    {!classify} sees the same class under either check, because no
+    estimate under the screen can hide a dense residual above the
+    threshold unless the probes under-read it a thousandfold. *)
+
+val orthogonality :
+  n:int -> apply:(Mat.t -> Mat.t) -> gram:(unit -> Mat.t) -> float
+(** The same screen-then-confirm rule for ‖QᵀQ − I‖_F of a Q with [n]
+    columns: the estimate is ‖Qᵀ(Q·V) − V‖_F / ‖V‖_F, with [apply v]
+    returning Qᵀ(Q·v); above the screen, [gram ()] builds QᵀQ and the
+    result is the exact ‖QᵀQ − I‖_F. *)
 
 val classify : reason option -> residual:float -> outcome
 (** [Gave_up] on a failure; otherwise {!Success} iff [residual] is at

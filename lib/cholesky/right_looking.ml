@@ -132,10 +132,8 @@ let factor ?pool ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
     final_verification st ~scheme
   in
   let st, failure = Recovery.ladder tally ~max_restarts ~attempt ~run in
-  let l = Mat.tril (Tile.to_mat st.tiles) in
-  let residual =
-    Recovery.residual ~input:a (Blas3.gemm_alloc ~transb:Types.Trans l l)
-  in
+  let l = Tile.to_lower st.tiles in
+  let residual = Ft.residual_of ~input:a l in
   {
     Ft.factor = l;
     outcome = Recovery.classify failure ~residual;

@@ -44,7 +44,10 @@ type report = {
   l : Mat.t;  (** unit-lower factor *)
   u : Mat.t;  (** upper factor *)
   outcome : outcome;
-  residual : float;  (** ‖L·U − A‖_F / ‖A‖_F *)
+  residual : float;
+      (** {!Cholesky.Recovery.residual} of L·U against the input: the
+          probe estimate, L·(U·V), when far under the threshold, else the
+          exact ‖L·U − A‖_F / max(1, ‖A‖_F) *)
   stats : stats;
   injections_fired : Injector.fired list;
 }

@@ -142,7 +142,10 @@ val trmm :
   ?alpha:float -> side -> uplo -> trans -> diag -> Mat.t -> Mat.t -> unit
 (** [trmm ~alpha side uplo trans diag a b] computes
     [b <- alpha * op(a) * b] ([Left]) or [b <- alpha * b * op(a)]
-    ([Right]) with [a] triangular. *)
+    ([Right]) with [a] triangular, reading only its [uplo] triangle
+    (and not its diagonal under [Unit_diag]). A [Left] product sweeps
+    the triangle once for all columns of [b], stride 1 down columns;
+    [Right] runs the same sweep on [bᵀ]. *)
 
 val symm :
   ?pool:Parallel.Pool.t ->

@@ -41,6 +41,24 @@ let to_mat t =
   done;
   a
 
+let to_lower t =
+  let n = t.n and b = t.block in
+  let a = Mat.create n n in
+  let g = grid t in
+  for bj = 0 to g - 1 do
+    for bi = bj to g - 1 do
+      let src = t.tiles.(bi).(bj).Mat.data in
+      for j = 0 to b - 1 do
+        (* a diagonal tile contributes rows j.. of its column j *)
+        let i0 = if bi = bj then j else 0 in
+        Array.blit src ((j * b) + i0) a.Mat.data
+          ((((bj * b) + j) * n) + (bi * b) + i0)
+          (b - i0)
+      done
+    done
+  done;
+  a
+
 let check_range t i j =
   let g = grid t in
   if i < 0 || i >= g || j < 0 || j >= g then

@@ -26,6 +26,11 @@ val of_mat : block:int -> Mat.t -> t
 val to_mat : t -> Mat.t
 (** Reassemble a fresh dense matrix from the tiles. *)
 
+val to_lower : t -> Mat.t
+(** The lower triangle, diagonal included, as a fresh dense matrix that
+    is zero above the diagonal: [Mat.tril (to_mat t)] in one pass,
+    copying only the on- and below-diagonal tiles. *)
+
 val n : t -> int
 (** Matrix order. *)
 

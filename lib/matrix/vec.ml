@@ -44,7 +44,10 @@ let nrm2 x =
       let a = abs_float (Array.unsafe_get x i) in
       if a > !amax then amax := a
     done;
-    if Float.equal !amax 0. then 0.
+    (* [a > !amax] skips NaNs, so an all-zero scan may still have seen
+       one: a NaN vector must not read as norm 0 *)
+    if Float.equal !amax 0. then
+      if Array.exists Float.is_nan x then Float.nan else 0.
     else begin
       let scale = !amax in
       let acc = ref 0. in

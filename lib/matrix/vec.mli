@@ -41,7 +41,8 @@ val dot : t -> t -> float
 
 val nrm2 : t -> float
 (** [nrm2 x] is the Euclidean norm ‖x‖₂, computed with scaling to avoid
-    intermediate overflow. *)
+    intermediate overflow. A NaN anywhere in [x] makes it NaN, even
+    when every other entry is zero. *)
 
 val asum : t -> float
 (** [asum x] is Σᵢ |xᵢ|. *)

@@ -190,20 +190,34 @@ let factor ?(plan = []) ?(scheme = Abft.Scheme.enhanced ()) ?(block = 16)
   Array.iteri (fun j p -> Mat.blit ~src:p ~dst:q ~row:0 ~col:(j * st.block)) st.panels;
   let residual =
     Recovery.residual ~input:a
-      (Blas3.gemm_alloc q st.r
-      [@abft.unverified
-        "residual check on the finished Q·R: runs after the scheme's own \
-         verification to second-guess it, so it must read the factors \
-         as-is"])
+      ~apply:(fun v ->
+        let w = Mat.copy v in
+        (Blas3.trmm Types.Left Types.Upper Types.No_trans Types.Non_unit_diag
+           st.r w
+        [@abft.unverified
+          "residual probe of the finished Q·R: runs after the scheme's own \
+           verification to second-guess it, so it must read R as-is"]);
+        Blas3.gemm_alloc q w
+        [@abft.unverified "second half of the same residual probe: reads Q"])
+      ~product:(fun () ->
+        Blas3.gemm_alloc q st.r
+        [@abft.unverified
+          "dense confirmation of a residual the probe could not clear: the \
+           same post-verification read of Q and R as the probe"])
   in
   let orthogonality =
-    Mat.norm_fro
-      (Mat.sub_mat
-         (Blas3.gemm_alloc ~transa:Types.Trans q q
-         [@abft.unverified
-           "orthogonality check on the finished Q: same post-verification \
-            read as the residual"])
-         (Mat.identity n))
+    Recovery.orthogonality ~n
+      ~apply:(fun v ->
+        Blas3.gemm_alloc ~transa:Types.Trans q
+          (Blas3.gemm_alloc q v
+          [@abft.unverified
+            "orthogonality probe of the finished Q: same post-verification \
+             read as the residual"])
+        [@abft.unverified "second half of the same orthogonality probe"])
+      ~gram:(fun () ->
+        Blas3.gemm_alloc ~transa:Types.Trans q q
+        [@abft.unverified
+          "dense confirmation of an orthogonality the probe could not clear"])
   in
   {
     q;

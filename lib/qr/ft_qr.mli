@@ -64,8 +64,14 @@ type report = {
   q : Mat.t;  (** m×n, orthonormal columns *)
   r : Mat.t;  (** n×n upper triangular *)
   outcome : outcome;
-  residual : float;  (** ‖Q·R − A‖_F / ‖A‖_F *)
-  orthogonality : float;  (** ‖QᵀQ − I‖_F *)
+  residual : float;
+      (** {!Cholesky.Recovery.residual} of Q·R against the input: the
+          probe estimate, Q·(R·V), when far under the threshold, else the
+          exact ‖Q·R − A‖_F / max(1, ‖A‖_F) *)
+  orthogonality : float;
+      (** {!Cholesky.Recovery.orthogonality}: the probe estimate
+          ‖Qᵀ(Q·V) − V‖ / ‖V‖ when far under the threshold, else the
+          exact ‖QᵀQ − I‖_F *)
   stats : stats;
   injections_fired : Injector.fired list;
 }

@@ -49,6 +49,10 @@ let test_vec_nrm2 () =
   check_float "3-4-5" 5. (Vec.nrm2 [| 3.; 4. |]);
   check_float "empty" 0. (Vec.nrm2 [||]);
   check_float "zero" 0. (Vec.nrm2 [| 0.; 0. |]);
+  (* a NaN is never dropped, even beside nothing but zeros *)
+  Alcotest.(check bool) "nan" true (Float.is_nan (Vec.nrm2 [| nan; nan |]));
+  Alcotest.(check bool) "nan and zero" true
+    (Float.is_nan (Vec.nrm2 [| 0.; nan |]));
   (* Scaling must prevent overflow for huge components. *)
   let big = 1e300 in
   check_float "no overflow" (big *. sqrt 2.) (Vec.nrm2 [| big; big |])
@@ -917,7 +921,9 @@ let prop_tile_roundtrip =
        QCheck.Gen.(
          pair (int_range 1 4) (int_range 1 4) >>= fun (b, g) ->
          gen_mat (b * g) (b * g) >|= fun a -> (b, a)))
-    (fun (b, a) -> Mat.equal a (Tile.to_mat (Tile.of_mat ~block:b a)))
+    (fun (b, a) ->
+      let t = Tile.of_mat ~block:b a in
+      Mat.equal a (Tile.to_mat t) && Mat.equal (Mat.tril a) (Tile.to_lower t))
 
 let prop_norm_triangle =
   QCheck.Test.make ~name:"Frobenius triangle inequality" ~count:100
